@@ -1,7 +1,6 @@
 """Sparse stationary distributions, Laplacian pseudo-inverses, and
 random-walk metrics for strongly connected digraphs."""
 
-from ._kernels import active_backend
 from .errors import (DpinvError, GmresNonConvergenceError, InputError,
                      MissingColumnsError, NoRealEigenvalueError,
                      NumericalError, RankDeficiencyError)
@@ -25,6 +24,12 @@ from .stationary import (StationaryResult, SubspaceConfig,
                          stationary_distribution, stationary_residual)
 
 __version__ = "0.1.0"
+
+
+def active_backend() -> str:
+    """Name of the sparse product implementation (always scipy.sparse)."""
+    return "scipy"
+
 
 __all__ = [
     "DpinvError", "InputError", "NumericalError", "RankDeficiencyError",

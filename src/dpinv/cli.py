@@ -143,7 +143,7 @@ def cmd_pinv(args) -> int:
     sys_ = eulerian_system(p, stat.pi, args.kind)
     cols = _parse_cols(args.cols, g.n)
     cfg = GmresConfig(tol=args.tol)
-    block, reports = pinv_columns(sys_, cols, cfg, threads=args.threads)
+    block, reports = pinv_columns(sys_, cols, cfg)
     if args.report:
         mv = sum(r.mv_count for r in reports)
         worst = max(r.final_residual for r in reports)
@@ -416,8 +416,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cols", default="all",
                    help="'all' or a comma separated index list")
     _add_iter_args(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="solve columns on a thread pool (same results)")
     p.add_argument("--format", choices=("csv", "raw"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--report", action="store_true")

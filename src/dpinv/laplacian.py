@@ -16,7 +16,6 @@ handled by the change-of-variables pipeline in :func:`general_pinv`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,27 +151,21 @@ def pinv_column(sys: EulerianSystem, j: int,
 
 
 def pinv_columns(sys: EulerianSystem, indices,
-                 cfg: GmresConfig | None = None,
-                 threads: int = 1) -> tuple[np.ndarray, list[SolveReport]]:
-    """A block of pseudo-inverse columns, optionally solved on a thread pool.
+                 cfg: GmresConfig | None = None) -> tuple[np.ndarray, list[SolveReport]]:
+    """A block of pseudo-inverse columns, one independent solve per column.
 
-    Columns are independent solves from zero starts, so the result is
-    identical for any thread count.
+    All indices are checked before any solve starts. Returns the columns in
+    the order given, with one report per column.
     """
     idx = [int(j) for j in indices]
     n = sys.l.n_rows
     for j in idx:
         if not 0 <= j < n:
             raise ValueError(f"column index {j} out of range for n={n}")
-    if threads <= 1 or len(idx) <= 1:
-        results = [pinv_column(sys, j, cfg) for j in idx]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: pinv_column(sys, j, cfg), idx))
     block = np.empty((n, len(idx)))
     reports: list[SolveReport] = []
-    for c, (col, rep) in enumerate(results):
-        block[:, c] = col
+    for c, j in enumerate(idx):
+        block[:, c], rep = pinv_column(sys, j, cfg)
         reports.append(rep)
     return block, reports
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .dense import lu_solve
 from .errors import NumericalError
 from .sparse import SparseMatrix
@@ -105,6 +104,54 @@ class MCResult:
     trials: int
 
 
+def mc_walk(cum_rows, start, target, trials, randoms,
+            h_moments, c_moments, visit_sum, visit_sumsq):
+    """Simulate ``trials`` round trips start -> target -> start on one stream.
+
+    Each trial walks from ``start`` until it first reaches ``target`` (first
+    leg, counting steps and per-node visits), then keeps walking until it
+    returns to ``start`` (second leg, for round-trip times). ``cum_rows`` holds
+    the cumulative row sums of the transition matrix; each step consumes one
+    value of ``randoms``. All trials advance in lockstep, taking randoms in
+    that order. Moments are added into the four accumulators. Returns the
+    number of randoms used, or -1 when they run out (the step cap).
+    """
+    n = cum_rows.shape[0]
+    pos = 0
+    budget = randoms.shape[0]
+    state = np.full(trials, start, dtype=np.int64)
+    steps = np.zeros((2, trials))
+    visits = np.zeros((trials, n))
+    for leg, goal in enumerate((target, start)):
+        alive = state != goal
+        while alive.any():
+            idx = np.nonzero(alive)[0]
+            k = idx.shape[0]
+            if pos + k > budget:
+                return -1
+            if leg == 0:
+                np.add.at(visits, (idx, state[idx]), 1.0)
+            r = randoms[pos:pos + k]
+            pos += k
+            nxt = np.empty(k, dtype=np.int64)
+            for row in np.unique(state[idx]):
+                sel = state[idx] == row
+                nxt[sel] = np.searchsorted(cum_rows[row], r[sel])
+            np.minimum(nxt, n - 1, out=nxt)
+            state[idx] = nxt
+            steps[leg, idx] += 1.0
+            alive[idx] = nxt != goal
+    steps1, steps2 = steps
+    h_moments[0] += steps1.sum()
+    h_moments[1] += (steps1 * steps1).sum()
+    rt = steps1 + steps2
+    c_moments[0] += rt.sum()
+    c_moments[1] += (rt * rt).sum()
+    visit_sum += visits.sum(axis=0)
+    visit_sumsq += (visits * visits).sum(axis=0)
+    return pos
+
+
 def monte_carlo_walk(p, i: int, k: int, trials: int = 100_000,
                      seed: int = 0, batch: int = 10_000) -> MCResult:
     """Estimate hitting time, commute time, and visit counts by simulation.
@@ -122,7 +169,6 @@ def monte_carlo_walk(p, i: int, k: int, trials: int = 100_000,
         raise ValueError("fewer than 1000 trials gives meaningless error bars")
     cum = np.cumsum(pd, axis=1)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _SEED_STREAM_MC]))
-    kernel = _kernels.mc_walk_numba if _kernels.USE_NUMBA else _kernels.mc_walk_numpy
     h_tot = np.zeros(2)
     c_tot = np.zeros(2)
     vs_tot = np.zeros(n)
@@ -137,7 +183,7 @@ def monte_carlo_walk(p, i: int, k: int, trials: int = 100_000,
             c_m = np.zeros(2)
             vs = np.zeros(n)
             vq = np.zeros(n)
-            res = kernel(cum, i, k, t, randoms, h_m, c_m, vs, vq)
+            res = mc_walk(cum, i, k, t, randoms, h_m, c_m, vs, vq)
             if res != -1:
                 break
             budget *= 2

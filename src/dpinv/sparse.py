@@ -1,18 +1,20 @@
 """Compressed sparse row matrices, digraphs, and the operations built on them.
 
-Storage is row-compressed only; products with the transpose iterate the same
-structure with scattered writes instead of materializing a second matrix.
-Matrices and graphs are treated as immutable after construction.
+Storage is row-compressed only. Products run on a scipy CSR array that shares
+the same three arrays; products with the transpose use its transposed (CSC)
+view, which scatters over the same storage instead of materializing a second
+matrix. Matrices and graphs are treated as immutable after construction.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
-from . import _kernels
 from .errors import InputError
 
 
@@ -44,7 +46,6 @@ class SparseMatrix:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _entry_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
@@ -78,14 +79,22 @@ class SparseMatrix:
     def nnz(self) -> int:
         return int(self.col_indices.shape[0])
 
-    @property
+    @cached_property
     def entry_rows(self) -> np.ndarray:
-        """Row index of each stored entry (lazy, used by the numpy backend)."""
-        if self._entry_rows is None:
-            counts = np.diff(self.row_offsets)
-            self._entry_rows = np.repeat(
-                np.arange(self.n_rows, dtype=np.int64), counts)
-        return self._entry_rows
+        """Row index of each stored entry."""
+        return np.repeat(np.arange(self.n_rows, dtype=np.int64),
+                         np.diff(self.row_offsets))
+
+    @cached_property
+    def csr(self) -> csr_array:
+        """The same storage as a scipy CSR array; no array is copied."""
+        return csr_array((self.values, self.col_indices, self.row_offsets),
+                         shape=(self.n_rows, self.n_cols), copy=False)
+
+    @cached_property
+    def csr_t(self) -> csc_array:
+        """Transposed view of :attr:`csr`, built once per matrix."""
+        return self.csr.T
 
     @classmethod
     def from_coo(cls, n_rows: int, n_cols: int, rows, cols, vals) -> "SparseMatrix":
@@ -146,13 +155,7 @@ def _as_vector(x, n: int) -> np.ndarray:
 
 def matvec(m: SparseMatrix, x, counter: MvCounter | None = None) -> np.ndarray:
     """y = M x. Increments `counter` by one when supplied."""
-    x = _as_vector(x, m.n_cols)
-    out = np.empty(m.n_rows)
-    if _kernels.USE_NUMBA:
-        _kernels.csr_matvec_numba(m.row_offsets, m.col_indices, m.values, x, out)
-    else:
-        _kernels.csr_matvec_numpy(m.row_offsets, m.col_indices, m.values,
-                                  m.entry_rows, x, out)
+    out = m.csr @ _as_vector(x, m.n_cols)
     if counter is not None:
         counter.add()
     return out
@@ -160,13 +163,7 @@ def matvec(m: SparseMatrix, x, counter: MvCounter | None = None) -> np.ndarray:
 
 def matvec_transpose(m: SparseMatrix, x, counter: MvCounter | None = None) -> np.ndarray:
     """y = Mᵀ x without forming the transpose. Increments `counter` by one."""
-    x = _as_vector(x, m.n_rows)
-    out = np.empty(m.n_cols)
-    if _kernels.USE_NUMBA:
-        _kernels.csr_matvec_t_numba(m.row_offsets, m.col_indices, m.values, x, out)
-    else:
-        _kernels.csr_matvec_t_numpy(m.row_offsets, m.col_indices, m.values,
-                                    m.entry_rows, x, out)
+    out = m.csr_t @ _as_vector(x, m.n_rows)
     if counter is not None:
         counter.add()
     return out
@@ -240,33 +237,19 @@ class Digraph:
         return SparseMatrix.from_coo(self.n, self.n, self.src, self.dst, self.weight)
 
 
-def _reach_all(n: int, offsets: np.ndarray, targets: np.ndarray, start: int) -> np.ndarray:
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for p in range(offsets[u], offsets[u + 1]):
-            v = targets[p]
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return seen
-
-
 def strong_connectivity_certificate(g: Digraph) -> tuple[int, int] | None:
-    """None when strongly connected, else a pair (i, j) with no i -> j path."""
+    """None when strongly connected, else a pair (i, j) with no i -> j path.
+
+    The pair is (0, j) for the first node j not reachable from node 0, else
+    (i, 0) for the first node i that cannot reach node 0.
+    """
     a = g.adjacency()
-    fwd = _reach_all(g.n, a.row_offsets, a.col_indices, 0)
-    if not fwd.all():
-        return (0, int(np.nonzero(~fwd)[0][0]))
-    rev_offsets = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a.col_indices, minlength=g.n), out=rev_offsets[1:])
-    order = np.argsort(a.col_indices, kind="stable")
-    rev_targets = a.entry_rows[order]
-    bwd = _reach_all(g.n, rev_offsets, rev_targets, 0)
-    if not bwd.all():
-        return (int(np.nonzero(~bwd)[0][0]), 0)
+    for adj, forward in ((a.csr, True), (a.csr_t, False)):
+        seen = np.zeros(g.n, dtype=bool)
+        seen[breadth_first_order(adj, 0, return_predecessors=False)] = True
+        if not seen.all():
+            j = int(np.nonzero(~seen)[0][0])
+            return (0, j) if forward else (j, 0)
     return None
 
 

@@ -100,13 +100,6 @@ class TestPinv:
         rows = [line.split(",") for line in out.strip().splitlines()]
         assert len(rows) == 30 and all(len(r) == 3 for r in rows)
 
-    def test_threads_bit_identical(self, graph_file, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["pinv", str(graph_file), "--cols", "0,1,2,3", "--tol", "1e-11"]
-        assert main(base + ["--threads", "1", "--out", str(a)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(b)]) == 0
-        assert a.read_text() == b.read_text()
-
     def test_raw_and_csv_agree(self, graph_file, tmp_path):
         c, r = tmp_path / "b.csv", tmp_path / "b.raw"
         base = ["pinv", str(graph_file), "--cols", "0,1"]

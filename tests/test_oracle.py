@@ -8,6 +8,7 @@ from dpinv.graphgen import random_graph
 from dpinv.oracle import (
     dense_pinv_reference,
     hitting_times_direct,
+    mc_walk,
     monte_carlo_walk,
     penrose_check,
     stationary_direct,
@@ -122,6 +123,62 @@ class TestMonteCarlo:
             monte_carlo_walk(selfloop2_p, 1, 1)
         with pytest.raises(ValueError, match="1000"):
             monte_carlo_walk(selfloop2_p, 0, 1, trials=10)
+
+
+class TestMcWalk:
+    """The walk kernel behind monte_carlo_walk, driven directly."""
+
+    def cycle3_cum(self):
+        p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        return np.cumsum(p, axis=1)
+
+    def test_deterministic_chain_exact_moments(self):
+        # on the directed 3-cycle every 0 -> 1 walk is 1 step, return is 2
+        cum = self.cycle3_cum()
+        trials = 50
+        randoms = np.random.default_rng(0).random(3 * trials)
+        h_m = np.zeros(2)
+        c_m = np.zeros(2)
+        vs = np.zeros(3)
+        vq = np.zeros(3)
+        res = mc_walk(cum, 0, 1, trials, randoms, h_m, c_m, vs, vq)
+        assert res == 3 * trials  # one random per step, three steps per trial
+        assert np.array_equal(h_m, [trials, trials])
+        assert np.array_equal(c_m, [3.0 * trials, 9.0 * trials])
+        assert np.array_equal(vs, [trials, 0.0, 0.0])
+        assert np.array_equal(vq, [trials, 0.0, 0.0])
+
+    def test_budget_exhaustion_returns_sentinel(self):
+        cum = self.cycle3_cum()
+        out = mc_walk(cum, 0, 1, 1, np.random.default_rng(1).random(2),
+                      np.zeros(2), np.zeros(2), np.zeros(3), np.zeros(3))
+        assert out == -1
+
+    def test_estimates_match_exact_values(self):
+        # two states: 0 -> {0, 1} each 1/2, 1 -> 0; h(0,1) = 2, c(0,1) = 3
+        p = np.array([[0.5, 0.5], [1.0, 0.0]])
+        cum = np.cumsum(p, axis=1)
+        trials = 20_000
+        randoms = np.random.default_rng(5).random(trials * 64)
+        h_m = np.zeros(2)
+        c_m = np.zeros(2)
+        vs = np.zeros(2)
+        vq = np.zeros(2)
+        res = mc_walk(cum, 0, 1, trials, randoms, h_m, c_m, vs, vq)
+        assert res > 0
+
+        def mean_se(total, totalsq):
+            mean = total / trials
+            var = max(totalsq / trials - mean * mean, 0.0)
+            return mean, np.sqrt(var / trials)
+
+        h_est, h_se = mean_se(h_m[0], h_m[1])
+        c_est, c_se = mean_se(c_m[0], c_m[1])
+        v_est, v_se = mean_se(vs[0], vq[0])
+        assert abs(h_est - 2.0) <= 4.0 * h_se
+        assert abs(c_est - 3.0) <= 4.0 * c_se
+        assert abs(v_est - 2.0) <= 4.0 * v_se
+        assert vs[1] == 0.0  # the target is never occupied before absorption
 
 
 class TestSymmetricPartExtremes:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpinv.errors import InputError
+from dpinv.graphgen import random_graph
 from dpinv.sparse import (Digraph, MvCounter, SparseMatrix, build_transition,
                           col_sums, is_strongly_connected, matvec,
                           matvec_transpose, permute_symmetric, row_sums,
@@ -74,6 +75,32 @@ class TestMatvec:
         m, a = random_sparse(rng, 8, 6)
         y = rng.standard_normal(8)
         np.testing.assert_allclose(matvec_transpose(m, y), a.T @ y, atol=1e-14)
+
+    # products add entries in storage order, so outputs are reproducible bit
+    # for bit against a bincount over the stored entries
+    def test_rectangular_matvec_matches_dense_and_storage_order(self):
+        rng = np.random.default_rng(13)
+        m, a = random_sparse(rng, 13, 29)
+        x = rng.standard_normal(29)
+        np.testing.assert_allclose(matvec(m, x), a @ x, atol=1e-12)
+        rows = np.repeat(np.arange(13), np.diff(m.row_offsets))
+        assert np.array_equal(matvec(m, x), np.bincount(
+            rows, weights=m.values * x[m.col_indices], minlength=13))
+
+    def test_rectangular_matvec_transpose_matches_dense_and_storage_order(self):
+        rng = np.random.default_rng(13)
+        m, a = random_sparse(rng, 13, 29)
+        y = rng.standard_normal(13)
+        np.testing.assert_allclose(matvec_transpose(m, y), a.T @ y, atol=1e-12)
+        rows = np.repeat(np.arange(13), np.diff(m.row_offsets))
+        assert np.array_equal(matvec_transpose(m, y), np.bincount(
+            m.col_indices, weights=m.values * y[rows], minlength=29))
+
+    def test_empty_rows_and_unused_column(self):
+        # rows 1 and 3 empty, column 0 never referenced
+        m = SparseMatrix.from_coo(4, 3, [0, 2], [1, 2], [5.0, -3.0])
+        assert np.array_equal(matvec(m, [1.0, 2.0, 3.0]), [10.0, 0.0, -9.0, 0.0])
+        assert np.array_equal(matvec_transpose(m, np.ones(4)), [0.0, 5.0, -3.0])
 
     def test_counter_increments_once_per_product(self):
         rng = np.random.default_rng(4)
@@ -163,6 +190,28 @@ class TestDigraph:
         assert cert is not None
         a, b = cert
         assert (a, b) in ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("src,dst,n,expected", [
+        # two 3-cycles, one arc from node 0's cycle into the other
+        ([0, 1, 2, 3, 4, 5, 2], [1, 2, 0, 4, 5, 3, 3], 6, (3, 0)),
+        # the same with the joining arc reversed
+        ([0, 1, 2, 3, 4, 5, 3], [1, 2, 0, 4, 5, 3, 2], 6, (0, 3)),
+        # a 3-cycle and an isolated node
+        ([0, 1, 2], [1, 2, 0], 4, (0, 3)),
+    ], ids=["arc-out", "arc-in", "isolated"])
+    def test_certificate_pair_is_unreachable(self, src, dst, n, expected):
+        g = Digraph(n, np.array(src), np.array(dst), np.ones(len(src)))
+        reach = np.eye(n, dtype=bool)
+        reach[g.src, g.dst] = True
+        for _ in range(n):  # boolean closure of I + A
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        cert = strong_connectivity_certificate(g)
+        assert cert == expected
+        assert not reach[cert]
+
+    def test_certificate_none_on_random_graphs(self):
+        for seed in range(4):
+            assert strong_connectivity_certificate(random_graph(60, seed=seed)) is None
 
     def test_build_transition_rows_sum_to_one(self, selfloop2):
         p, d = build_transition(selfloop2)
