@@ -123,7 +123,7 @@ def cmd_stationary(args) -> int:
     result = stationary_distribution(p, _sub_cfg(args))
     if args.report:
         print(f"iterations={result.iterations} mv={result.mv_count} "
-              f"residual={result.residual:.3e} "
+              f"width={result.width} residual={result.residual:.3e} "
               f"time_ms={result.wall_time * 1e3:.2f}", file=sys.stderr)
     if args.out is None:
         for v in result.pi:
@@ -373,9 +373,13 @@ def cmd_verify(args) -> int:
 # Parser assembly.
 
 
+_ELL_HELP = ("fixed subspace block width (default: start at 2 and double, "
+             "up to 30, after 8 rounds in a row that fail to halve the "
+             "residual)")
+
+
 def _add_iter_args(p, tol_default=1e-9) -> None:
-    p.add_argument("--ell", type=int, default=30,
-                   help="subspace block width (default 30)")
+    p.add_argument("--ell", type=int, default=None, help=_ELL_HELP)
     p.add_argument("--tol", type=float, default=tol_default,
                    help=f"convergence tolerance (default {tol_default:g})")
     p.add_argument("--max-iter", type=int, default=10_000, dest="max_iter",
@@ -454,7 +458,7 @@ def build_parser() -> _Parser:
     p.add_argument("--attach", type=int, default=2)
     p.add_argument("--extra", default="n",
                    help="one-way arc count, or 'n' for one per node (default)")
-    p.add_argument("--ell", type=int, default=30)
+    p.add_argument("--ell", type=int, default=None, help=_ELL_HELP)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

@@ -45,13 +45,6 @@ class LinearOperator:
         fn = (lambda x: matvec_transpose(m, x)) if transpose else (lambda x: matvec(m, x))
         return cls(m.n_rows, fn, counter)
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray, counter: MvCounter | None = None) -> "LinearOperator":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("operator requires a square matrix")
-        return cls(a.shape[0], lambda x: a @ x, counter)
-
 
 class RankOneShiftedOperator(LinearOperator):
     """x -> M x + alpha * u (vᵀ x) without forming the rank-one update."""
@@ -191,14 +184,3 @@ def gmres_restarted(op: LinearOperator, b: np.ndarray,
     raise GmresNonConvergenceError(
         f"no convergence in {cfg.max_outer} restart cycles "
         f"(residual {history[-1]:.3e}, tol {cfg.tol:.1e})", report())
-
-
-def richardson_step(op: LinearOperator, r: np.ndarray) -> tuple[np.ndarray, float]:
-    """One minimal-residual Richardson step: r ← r − α A r with optimal α."""
-    r = np.asarray(r, dtype=np.float64)
-    ar = op.apply(r)
-    denom = float(ar @ ar)
-    if denom == 0.0:
-        raise NumericalError("A r vanished; no progress direction")
-    alpha = float(ar @ r) / denom
-    return r - alpha * ar, alpha

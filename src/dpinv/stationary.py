@@ -5,6 +5,15 @@ matrix onto it, and rotates the block by an ordered real Schur step so that
 the Ritz direction for the eigenvalue nearest 1 leads. The block width must
 exceed the period of the chain for the leading direction to settle; widths
 are clamped to the state count, at which point the step is exact.
+
+A fixed width costs width + 1 products per round whether or not the extra
+columns speed convergence, and on most chains they do not. So by default the
+block starts at width 2 and doubles, up to 30 columns, only when the residual
+stops halving. A round stalls when its residual is not below half of the
+reference residual; the first round at each width and every round that does
+halve it set the reference. After 8 stalled rounds in a row the width doubles
+and the new columns are fresh random draws. A periodic chain stalls at any
+width up to its period, so it widens until the block exceeds the period.
 """
 
 from __future__ import annotations
@@ -20,17 +29,23 @@ from .krylov import LinearOperator
 from .sparse import MvCounter, SparseMatrix, matvec_transpose, row_sums
 
 _SEED_STREAM_START_BLOCK = 3
+_START_WIDTH = 2
+_MAX_WIDTH = 30
+_STALL_ROUNDS = 8
 
 
 @dataclass
 class SubspaceConfig:
-    ell: int = 30               # block width; clamped to the state count
+    # fixed block width, clamped to the state count; None starts at width 2
+    # and doubles after _STALL_ROUNDS stalled rounds in a row, up to
+    # _MAX_WIDTH columns (see the module docstring)
+    ell: int | None = None
     tol: float = 1e-9           # tolerance on ‖Pᵀπ − π‖₂
     max_iterations: int = 10000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.ell < 2:
+        if self.ell is not None and self.ell < 2:
             raise ValueError("ell must be at least 2")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
@@ -45,6 +60,7 @@ class StationaryResult:
     iterations: int
     mv_count: int
     wall_time: float
+    width: int                  # block width of the last round
     residual_history: np.ndarray = field(repr=False, default=None)
 
 
@@ -77,10 +93,12 @@ def _start_block(n: int, ell: int, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _orthogonalize_reseeding(block: np.ndarray, rng: np.random.Generator,
-                             attempts: int = 8) -> np.ndarray:
+def _orthogonalize_reseeding(block: np.ndarray,
+                             rng: np.random.Generator) -> np.ndarray:
+    # a chain whose P has low rank maps most of a wide block into the same
+    # few directions, so every column may need one reseed
     work = np.array(block, copy=True)
-    for _ in range(attempts):
+    for _ in range(work.shape[1] + 8):
         try:
             return orthogonalize(work)
         except RankDeficiencyError as exc:
@@ -95,7 +113,8 @@ def stationary_distribution(p: SparseMatrix,
     Returns π with positive entries summing to 1 and ‖Pᵀπ − π‖₂ ≤ tol.
     Raises :class:`NumericalError` when the iteration cap is reached, which
     for a valid chain usually means the block width does not exceed the
-    chain's period.
+    chain's period. With ``cfg.ell`` left at None the width grows on stalls
+    as the module docstring describes.
     """
     if cfg is None:
         cfg = SubspaceConfig()
@@ -104,16 +123,20 @@ def stationary_distribution(p: SparseMatrix,
     t0 = time.perf_counter()
     if n == 1:
         return StationaryResult(np.ones(1), 0.0, 0, 0, time.perf_counter() - t0,
-                                np.zeros(0))
-    ell = min(cfg.ell, n)
+                                1, np.zeros(0))
+    if cfg.ell is None:
+        width, max_width = min(_START_WIDTH, n), min(_MAX_WIDTH, n)
+    else:
+        width = max_width = min(cfg.ell, n)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([cfg.seed, _SEED_STREAM_START_BLOCK])))
     op = LinearOperator.from_sparse(p, transpose=True)
-    q = _orthogonalize_reseeding(_start_block(n, ell, rng), rng)
+    q = _orthogonalize_reseeding(_start_block(n, width, rng), rng)
     history: list[float] = []
+    ref, stalled = np.inf, 0
     for iteration in range(1, cfg.max_iterations + 1):
         w = np.empty_like(q)
-        for j in range(ell):
+        for j in range(width):
             w[:, j] = op.apply(q[:, j])
         b = q.T @ w
         try:
@@ -134,9 +157,18 @@ def stationary_distribution(p: SparseMatrix,
         history.append(res)
         if positive and res <= cfg.tol:
             return StationaryResult(candidate, res, iteration, op.counter.count,
-                                    time.perf_counter() - t0, np.array(history))
+                                    time.perf_counter() - t0, width,
+                                    np.array(history))
+        if res < 0.5 * ref:
+            ref, stalled = res, 0
+        else:
+            stalled += 1
+        if stalled == _STALL_ROUNDS and width < max_width:
+            grown = min(2 * width, max_width)
+            az = np.hstack([az, rng.standard_normal((n, grown - width))])
+            width, ref, stalled = grown, np.inf, 0
         q = _orthogonalize_reseeding(az, rng)
     raise NumericalError(
         f"stationary iteration did not converge in {cfg.max_iterations} rounds "
-        f"(last residual {history[-1]:.3e}); the block width ell={ell} may not "
-        "exceed the chain's period, or the chain may be nearly reducible")
+        f"(last residual {history[-1]:.3e}); the final block width {width} may "
+        "not exceed the chain's period, or the chain may be nearly reducible")

@@ -65,6 +65,7 @@ class TestStationary:
         assert code == 0
         assert out == ""
         assert "iterations=" in err and "mv=" in err and "residual=" in err
+        assert "width=" in err
         assert out_file.exists()
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):

@@ -3,13 +3,35 @@
 import numpy as np
 import pytest
 
+import dpinv.krylov
+import dpinv.stationary
 from dpinv.errors import NumericalError
 from dpinv.graphgen import random_graph
 from dpinv.oracle import stationary_direct
-from dpinv.sparse import SparseMatrix, build_transition
+from dpinv.sparse import Digraph, SparseMatrix, build_transition
 from dpinv.stationary import SubspaceConfig, stationary_distribution, stationary_residual
 
 from conftest import directed_cycle, lazy_cycle
+
+
+def star_chain(n):
+    """Hub 0 and n - 1 leaves, arcs both ways: P has rank 2, period 2."""
+    leaves = np.arange(1, n)
+    hub = np.zeros(n - 1, dtype=np.int64)
+    g = Digraph(n, np.concatenate([hub, leaves]), np.concatenate([leaves, hub]),
+                np.ones(2 * (n - 1)))
+    return build_transition(g)[0]
+
+
+def layered_chain(layers, width):
+    """Complete bipartite arcs from each layer to the next, cyclically: P
+    has rank ``layers`` and period ``layers``; π is uniform."""
+    a, b = np.meshgrid(np.arange(width), np.arange(width), indexing="ij")
+    src = np.concatenate([(l * width + a).ravel() for l in range(layers)])
+    dst = np.concatenate([(((l + 1) % layers) * width + b).ravel()
+                          for l in range(layers)])
+    g = Digraph(layers * width, src, dst, np.ones(src.size))
+    return build_transition(g)[0]
 
 
 class TestConfig:
@@ -135,3 +157,62 @@ class TestPeriodicChains:
         p = directed_cycle(8)
         res = stationary_distribution(p, SubspaceConfig(ell=10, tol=1e-12, seed=0))
         np.testing.assert_allclose(res.pi, np.full(8, 0.125), atol=1e-12)
+
+
+class TestAdaptiveWidth:
+    @pytest.mark.parametrize("n", [5, 8, 29])
+    def test_directed_cycle_widens_past_period(self, n):
+        # a pure rotation stalls at every width below n; growth must reach
+        # the clamp n, where the projected step is exact
+        res = stationary_distribution(directed_cycle(n))
+        np.testing.assert_allclose(res.pi, np.full(n, 1.0 / n), atol=1e-12)
+        assert res.width == n
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_width_stays_at_two_on_random_graphs(self, seed):
+        p, _ = build_transition(random_graph(200, seed=seed))
+        res = stationary_distribution(p, SubspaceConfig(seed=seed))
+        assert res.width == 2
+        assert res.mv_count == 3 * res.iterations
+
+    def test_mv_count_matches_products_while_growing(self, monkeypatch):
+        seen = 0
+        real = dpinv.krylov.matvec_transpose
+
+        def counting(*args, **kwargs):
+            nonlocal seen
+            seen += 1
+            return real(*args, **kwargs)
+
+        # block products go through the operator, residual checks direct
+        monkeypatch.setattr(dpinv.krylov, "matvec_transpose", counting)
+        monkeypatch.setattr(dpinv.stationary, "matvec_transpose", counting)
+        res = stationary_distribution(directed_cycle(8))
+        assert res.width == 8
+        assert seen == res.mv_count
+
+    def test_width_caps_at_thirty(self):
+        # period 40 exceeds the cap, so growth stops at 30 and the failure
+        # names the final width
+        cfg = SubspaceConfig(max_iterations=60)
+        with pytest.raises(NumericalError, match="final block width 30 "):
+            stationary_distribution(directed_cycle(40), cfg)
+
+
+class TestLowRankChains:
+    # P maps a wide block into rank(P) directions, so most columns need a
+    # reseed every round
+    @pytest.mark.parametrize("ell", [None, 30])
+    def test_star(self, ell):
+        n = 50
+        res = stationary_distribution(star_chain(n), SubspaceConfig(ell=ell))
+        expected = np.full(n, 0.5 / (n - 1))
+        expected[0] = 0.5
+        np.testing.assert_allclose(res.pi, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("ell", [None, 30])
+    def test_period_twenty_layers(self, ell):
+        res = stationary_distribution(layered_chain(20, 20),
+                                      SubspaceConfig(ell=ell))
+        np.testing.assert_allclose(res.pi, np.full(400, 1.0 / 400), atol=1e-15)
+        assert res.width == 30
