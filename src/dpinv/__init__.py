@@ -6,7 +6,7 @@ from .errors import (DpinvError, GmresNonConvergenceError, InputError,
                      NumericalError, RankDeficiencyError)
 from .graphgen import GenConfig, preferential_attachment_digraph, random_graph
 from .krylov import (GmresConfig, LinearOperator, RankOneShiftedOperator,
-                     SolveReport, gmres_restarted)
+                     SolveReport, gmres_block, gmres_restarted)
 from .laplacian import (EulerianSystem, GeneralLaplacian, build_laplacian,
                         check_eulerian, check_properties, embed_mmatrix,
                         eulerian_system, general_laplacian, general_pinv,
@@ -39,7 +39,7 @@ __all__ = [
     "strong_connectivity_certificate",
     "GenConfig", "preferential_attachment_digraph", "random_graph",
     "LinearOperator", "RankOneShiftedOperator", "GmresConfig", "SolveReport",
-    "gmres_restarted",
+    "gmres_block", "gmres_restarted",
     "SubspaceConfig", "StationaryResult", "stationary_distribution",
     "stationary_residual",
     "build_laplacian", "check_eulerian", "EulerianSystem", "eulerian_system",

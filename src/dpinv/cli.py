@@ -266,7 +266,7 @@ def cmd_bench(args) -> int:
         return (stat.mv_count, stat.wall_time * 1e3,
                 rep.mv_count, rep.wall_time * 1e3)
 
-    run_one(64, 0)  # warm the compiled kernels before timing
+    run_one(64, 0)  # untimed: lazy imports and first calls stay out of the timings
     lines = ["n,mv_pi,time_pi_ms,mv_col,time_col_ms"]
     for n in sizes:
         rows = [run_one(n, s) for s in seeds]

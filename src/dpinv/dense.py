@@ -8,7 +8,6 @@ ordering, Hessenberg least squares) lives here.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -88,38 +87,55 @@ def ordered_schur_leading(b: np.ndarray, target: float) -> tuple[np.ndarray, np.
     return u, t
 
 
-def hessenberg_lsq(h: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+def hessenberg_lsq(h: np.ndarray, beta, steps=None):
     """Minimize ‖β e₁ − H y‖₂ for (k+1)×k upper Hessenberg H via Givens rotations.
 
-    Returns the minimizer and the exact residual norm of the minimized system.
+    ``h`` may also be a stack of shape (b, k+1, k) with one ``beta`` per
+    matrix; the rotation and back-substitution loops then run over the k
+    columns, each step acting on the whole stack. ``steps`` gives, per
+    matrix, how many leading columns are in use (the rest must be zero; the
+    default is all k), and the residual is read at row ``steps``. Returns
+    the minimizer and the exact residual norm of the minimized system, as
+    arrays over the stack when ``h`` is one.
     """
-    h = np.array(h, dtype=np.float64, copy=True)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
-        raise ValueError("expected a (k+1) x k matrix")
-    k = h.shape[1]
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim not in (2, 3) or h.shape[-2] != h.shape[-1] + 1:
+        raise ValueError("expected a (k+1) x k matrix or a stack of them")
+    if np.any(np.tril(h, -2)):
+        raise ValueError("matrix is not upper Hessenberg")
+    single = h.ndim == 2
+    if single:
+        h = h[None]
+    b, k = h.shape[0], h.shape[2]
+    # β e₁ rides along as column k, so each rotation is one 2x2 product
+    hg = np.zeros((b, k + 1, k + 1))
+    hg[:, :, :k] = h
+    hg[:, 0, k] = beta
+    rot = np.empty((b, 2, 2))
     for i in range(k):
-        if np.any(h[i + 2:, i] != 0.0):
-            raise ValueError("matrix is not upper Hessenberg")
-    g = np.zeros(k + 1)
-    g[0] = beta
-    for i in range(k):
-        a, bb = h[i, i], h[i + 1, i]
-        r = math.hypot(a, bb)
-        if r == 0.0:
-            continue
-        c, s = a / r, bb / r
-        upper = c * h[i, i:] + s * h[i + 1, i:]
-        h[i + 1, i:] = -s * h[i, i:] + c * h[i + 1, i:]
-        h[i, i:] = upper
-        gi = c * g[i] + s * g[i + 1]
-        g[i + 1] = -s * g[i] + c * g[i + 1]
-        g[i] = gi
-    y = np.zeros(k)
+        pair = hg[:, i:i + 2, i]
+        r = np.hypot(pair[:, 0], pair[:, 1])
+        if r.all():
+            rot[:, 0] = pair / r[:, None]
+        else:  # a zero pair needs no rotation: use the identity
+            zero = r == 0.0
+            rot[:, 0] = pair / np.where(zero, 1.0, r)[:, None]
+            rot[zero, 0] = (1.0, 0.0)
+        rot[:, 1, 0] = -rot[:, 0, 1]
+        rot[:, 1, 1] = rot[:, 0, 0]
+        hg[:, i:i + 2, i:] = rot @ hg[:, i:i + 2, i:]
+    g = hg[:, :, k]
+    # a zero pivot means this direction cannot reduce the residual: y stays 0
+    pivot = hg[:, np.arange(k), np.arange(k)]
+    pivot[pivot == 0.0] = np.inf
+    y = np.zeros((b, k))
     for i in range(k - 1, -1, -1):
-        t = g[i] - h[i, i + 1:k] @ y[i + 1:]
-        # a zero pivot means this direction cannot reduce the residual
-        y[i] = t / h[i, i] if h[i, i] != 0.0 else 0.0
-    return y, abs(float(g[k]))
+        y[:, i] = (g[:, i] - np.einsum("bj,bj->b", hg[:, i, i + 1:k], y[:, i + 1:])) / pivot[:, i]
+    rows = np.full(b, k) if steps is None else np.asarray(steps)
+    res = np.abs(g[np.arange(b), rows])
+    if single:
+        return y[0], float(res[0])
+    return y, res
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

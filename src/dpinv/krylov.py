@@ -1,9 +1,12 @@
-"""Restarted GMRES and friends for the shifted Laplacian systems.
+"""Restarted GMRES for the shifted Laplacian systems, many right-hand sides at once.
 
-The restart-cycle machinery is deliberately explicit: an Arnoldi loop with
-reorthogonalization, a Givens-based Hessenberg least-squares solve, and a
-residual carried between cycles through the Krylov basis so each cycle costs
-exactly as many matrix products as it takes inner steps.
+Columns are solved in lockstep batches. Each Arnoldi step makes one block
+product over the batch's live columns and orthogonalizes by two classical
+Gram-Schmidt passes as stacked matmuls on a (k, restart + 1, n) basis; each
+cycle ends in one batched Givens least-squares solve. Every column keeps its
+own convergence state, and its residual is carried between cycles through
+the Krylov basis, so a column costs exactly as many matrix products as it
+takes inner steps plus its true-residual re-checks, whatever its batch.
 """
 
 from __future__ import annotations
@@ -18,10 +21,15 @@ from .errors import GmresNonConvergenceError, NumericalError
 from .sparse import MvCounter, SparseMatrix, matvec, matvec_transpose
 
 BREAKDOWN_TOL = 1e-14
+# Bytes one batch's Krylov basis may take; sets how many columns run in lockstep.
+_BASIS_BYTES = 1 << 20
 
 
 class LinearOperator:
-    """Square operator defined by its action; counts one product per apply."""
+    """Square operator defined by its action; counts one product per column.
+
+    ``apply_fn`` must accept a vector and an (n, k) block alike.
+    """
 
     def __init__(self, dimension: int, apply_fn=None, counter: MvCounter | None = None):
         self.dimension = int(dimension)
@@ -32,6 +40,13 @@ class LinearOperator:
         if x.shape != (self.dimension,):
             raise ValueError(f"operand must have shape ({self.dimension},)")
         self.counter.add()
+        return self._raw_apply(x)
+
+    def apply_block(self, x: np.ndarray) -> np.ndarray:
+        """Apply to each column of an (n, k) block; counts k products."""
+        if x.ndim != 2 or x.shape[0] != self.dimension:
+            raise ValueError(f"operand must have shape ({self.dimension}, k)")
+        self.counter.add(x.shape[1])
         return self._raw_apply(x)
 
     def _raw_apply(self, x: np.ndarray) -> np.ndarray:
@@ -47,7 +62,10 @@ class LinearOperator:
 
 
 class RankOneShiftedOperator(LinearOperator):
-    """x -> M x + alpha * u (vᵀ x) without forming the rank-one update."""
+    """x -> M x + alpha * u (vᵀ x) without forming the rank-one update.
+
+    A block operand takes one sparse product for all of its columns.
+    """
 
     def __init__(self, base: SparseMatrix, u: np.ndarray, v: np.ndarray,
                  alpha: float = 1.0, counter: MvCounter | None = None):
@@ -62,7 +80,12 @@ class RankOneShiftedOperator(LinearOperator):
         self.alpha = float(alpha)
 
     def _raw_apply(self, x: np.ndarray) -> np.ndarray:
-        return matvec(self.base, x) + (self.alpha * (self.v @ x)) * self.u
+        out = matvec(self.base, x)
+        # the shift is built as (k, n) rows: an (n, k) outer product with a
+        # small k runs numpy's inner loop over k and costs several times more
+        shift = out.T
+        shift += np.multiply.outer(self.alpha * (self.v @ x), self.u)
+        return out
 
 
 @dataclass
@@ -93,94 +116,208 @@ class SolveReport:
         return float(self.residual_history[-1])
 
 
+def batch_width(n: int, restart: int) -> int:
+    """Columns per lockstep batch: as many as fit one basis in _BASIS_BYTES."""
+    return max(1, _BASIS_BYTES // (8 * (restart + 1) * n))
+
+
+def arnoldi_block(op: LinearOperator, V: np.ndarray, H: np.ndarray):
+    """Arnoldi on a stack of start vectors: A V_c = V_c H_c for each column c.
+
+    ``V`` is (k, ell + 1, n) with a unit start vector in each ``V[c, 0]``;
+    ``H`` is a zeroed (k, ell + 1, ell) stack that receives the Hessenbergs.
+    Each step makes one block product over the live columns and runs two
+    classical Gram-Schmidt passes as stacked matmuls on views of ``V``. A
+    column whose next vector has norm at most ``BREAKDOWN_TOL`` freezes with
+    a zero subdiagonal entry and takes no further product. Returns the
+    per-column step counts (one product per step) and the breakdown mask.
+    """
+    k, ell = H.shape[0], H.shape[2]
+    steps = np.full(k, ell)
+    live = np.ones(k, dtype=bool)
+    for j in range(ell):
+        if live.all():
+            w = np.ascontiguousarray(op.apply_block(V[:, j].T).T)
+        else:
+            w = np.zeros((k, V.shape[2]))
+            w[live] = op.apply_block(V[live, j].T).T
+        basis = V[:, :j + 1]
+        for _ in range(2):
+            coeffs = np.matmul(basis, w[:, :, None])[:, :, 0]
+            w -= np.matmul(coeffs[:, None, :], basis)[:, 0, :]
+            H[:, :j + 1, j] += coeffs
+        hnext = np.linalg.norm(w, axis=1)
+        broke = live & (hnext <= BREAKDOWN_TOL)
+        steps[broke] = j + 1
+        live &= ~broke
+        if not live.any():
+            break
+        H[live, j + 1, j] = hnext[live]
+        V[live, j + 1] = w[live] / hnext[live, None]
+    return steps, ~live
+
+
 def arnoldi(op: LinearOperator, v1: np.ndarray, ell: int):
     """Build an orthonormal Krylov basis: A V_k = V_{k+1} H.
 
     Returns ``(V, H, breakdown)`` where H is (k+1) x k upper Hessenberg and
     ``breakdown`` is the number of completed steps when the basis closed early
     (else None). Without breakdown V has k+1 columns; with breakdown, k.
-    Projection coefficients get one full reorthogonalization pass.
+    This is the one-column case of :func:`arnoldi_block`.
     """
-    v1 = np.asarray(v1, dtype=np.float64)
+    V = np.zeros((1, ell + 1, op.dimension))
+    H = np.zeros((1, ell + 1, ell))
+    V[0, 0] = v1
+    steps, broke = arnoldi_block(op, V, H)
+    k = int(steps[0])
+    if broke[0]:
+        return V[0, :k].T.copy(), H[0, :k + 1, :k].copy(), k
+    return V[0].T.copy(), H[0], None
+
+
+def gmres_block(op: LinearOperator, b: np.ndarray, cfg: GmresConfig | None = None,
+                x0: np.ndarray | None = None) -> tuple[np.ndarray, list[SolveReport]]:
+    """Solve A X = B column by column by restarted GMRES, in lockstep batches.
+
+    ``b`` (and ``x0``, default zero) is (n, m). Columns run in batches of
+    :func:`batch_width`; within a batch each Arnoldi step is one block product
+    and each column keeps its own convergence state, products and report.
+    Results agree across batch widths to rounding, not bit for bit: batched
+    sums run in another order. ``SolveReport.wall_time`` is the wall
+    time of the column's batch. Raises :class:`GmresNonConvergenceError` with
+    the report of the first failing column, and :class:`NumericalError` when
+    an iterate turns non-finite.
+    """
+    if cfg is None:
+        cfg = GmresConfig()
     n = op.dimension
-    V = np.zeros((n, ell + 1))
-    H = np.zeros((ell + 1, ell))
-    V[:, 0] = v1
-    for j in range(ell):
-        w = op.apply(V[:, j])
-        for _ in range(2):
-            coeffs = V[:, :j + 1].T @ w
-            w -= V[:, :j + 1] @ coeffs
-            H[:j + 1, j] += coeffs
-        hnext = np.linalg.norm(w)
-        if hnext <= BREAKDOWN_TOL:
-            return V[:, :j + 1].copy(), H[:j + 2, :j + 1].copy(), j + 1
-        H[j + 1, j] = hnext
-        V[:, j + 1] = w / hnext
-    return V, H, None
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 2 or b.shape[0] != n:
+        raise ValueError(f"right-hand sides must form an ({n}, k) block")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != b.shape:
+            raise ValueError("initial guesses must match the right-hand sides")
+    m = b.shape[1]
+    width = batch_width(n, cfg.restart)
+    # one basis for every batch and every restart
+    V = np.zeros((min(width, m), cfg.restart + 1, n))
+    H = np.empty((min(width, m), cfg.restart + 1, cfg.restart))
+    x = np.empty((n, m))
+    reports: list[SolveReport] = []
+    for start in range(0, m, width):
+        cols = slice(start, start + width)
+        xb, reps = _gmres_batch(op, b[:, cols].T, None if x0 is None else x0[:, cols].T,
+                                cfg, V, H)
+        x[:, cols] = xb.T
+        reports += reps
+    return x, reports
+
+
+def _gmres_batch(op, b, x0, cfg, V, H):
+    """Restarted GMRES on the rows of ``b`` (k, n) in lockstep; see gmres_block.
+
+    Convergence is judged on the least-squares residual carried by each
+    Hessenberg recurrence; columns below tol get their true residual
+    re-checked in one block product, and those that pass leave the batch.
+    A failed re-check restarts the column from its true residual and records
+    that residual; two failed re-checks in a row without halving it end the
+    solve, since the tolerance then lies below the reachable floor.
+    """
+    t0 = time.perf_counter()
+    k = b.shape[0]
+    b = np.ascontiguousarray(b)
+    mv = np.zeros(k, dtype=np.int64)
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.array(x0)
+        r = b - op.apply_block(x.T).T
+        mv += 1
+    beta = np.linalg.norm(r, axis=1)
+    history = [[float(v)] for v in beta]
+    outer = np.zeros(k, dtype=np.int64)
+    inner = np.zeros(k, dtype=np.int64)
+    last_miss = np.full(k, np.inf)   # true residual of a failed re-check last cycle
+    active = ~(beta < cfg.tol)
+
+    def report(c: int, wall: float | None = None) -> SolveReport:
+        wall = time.perf_counter() - t0 if wall is None else wall
+        return SolveReport(int(outer[c]), int(inner[c]), int(mv[c]),
+                           np.array(history[c]), wall)
+
+    cycle = 0
+    while active.any():
+        act = np.flatnonzero(active)
+        if cycle == cfg.max_outer:
+            c = int(act[0])
+            raise GmresNonConvergenceError(
+                f"no convergence in {cfg.max_outer} restart cycles "
+                f"(residual {history[c][-1]:.3e}, tol {cfg.tol:.1e})", report(c))
+        cycle += 1
+        Vb, Hb = V[:act.size], H[:act.size]
+        Hb.fill(0.0)
+        Vb[:, 0] = r[act] / beta[act, None]
+        steps, _ = arnoldi_block(op, Vb, Hb)
+        outer[act] += 1
+        inner[act] += steps
+        mv[act] += steps
+        y, rnorm = hessenberg_lsq(Hb, beta[act], steps)
+        # y is zero past each column's steps, so stale basis rows add nothing
+        x[act] += np.matmul(y[:, None, :], Vb[:, :-1])[:, 0]
+        coeffs = -np.matmul(Hb, y[:, :, None])[:, :, 0]
+        coeffs[:, 0] += beta[act]
+        r_carried = np.matmul(coeffs[:, None, :], Vb)[:, 0]
+        if not np.all(np.isfinite(rnorm)) or not np.all(np.isfinite(x[act])):
+            raise NumericalError("GMRES iterate diverged (non-finite values)")
+        for c, v in zip(act, rnorm):
+            history[c].append(float(v))
+        met = rnorm < cfg.tol
+        go = act[~met]
+        r[go] = r_carried[~met]
+        beta[go] = np.linalg.norm(r[go], axis=1)
+        last_miss[go] = np.inf
+        for c, v in zip(go, rnorm[~met]):
+            if beta[c] == 0.0:
+                beta[c] = v if v > 0 else cfg.tol * 0.5
+        chk = act[met]
+        if chk.size == 0:
+            continue
+        r_true = b[chk] - op.apply_block(x[chk].T).T
+        mv[chk] += 1
+        true_norm = np.linalg.norm(r_true, axis=1)
+        for c, v in zip(chk, true_norm):
+            history[c][-1] = float(v)
+        ok = true_norm < cfg.tol
+        active[chk[ok]] = False
+        miss = chk[~ok]
+        for c, v in zip(miss, true_norm[~ok]):
+            if v >= 0.5 * last_miss[c]:
+                raise GmresNonConvergenceError(
+                    f"true residual stalled at {v:.3e} over two re-checks in a row "
+                    f"(tol {cfg.tol:.1e}): the tolerance is below the reachable floor",
+                    report(int(c)))
+        # the recurrence was optimistic; restart from the true residual
+        r[miss] = r_true[~ok]
+        beta[miss] = true_norm[~ok]
+        last_miss[miss] = true_norm[~ok]
+    wall = time.perf_counter() - t0
+    return x, [report(c, wall) for c in range(k)]
 
 
 def gmres_restarted(op: LinearOperator, b: np.ndarray,
                     x0: np.ndarray | None = None,
                     cfg: GmresConfig | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Solve A x = b by restarted GMRES.
+    """Solve A x = b by restarted GMRES: the one-column case of :func:`gmres_block`.
 
-    Convergence is judged on the least-squares residual carried by the
-    Hessenberg recurrence; on acceptance one explicit product re-checks the
-    true residual (so a converged solve costs its inner steps plus one).
+    A converged solve costs its inner steps plus one true-residual re-check.
     Raises :class:`GmresNonConvergenceError` with the partial report when the
-    outer-iteration cap is hit.
+    outer-iteration cap is hit or the tolerance lies below the reachable floor.
     """
-    if cfg is None:
-        cfg = GmresConfig()
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (op.dimension,):
         raise ValueError("right-hand side length mismatch")
-    t0 = time.perf_counter()
-    mv0 = op.counter.count
-    if x0 is None:
-        x = np.zeros(op.dimension)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=np.float64)
-        r = b - op.apply(x)
-    beta = float(np.linalg.norm(r))
-    history = [beta]
-    inner_total = 0
-
-    def report() -> SolveReport:
-        return SolveReport(outer, inner_total, op.counter.count - mv0,
-                           np.array(history), time.perf_counter() - t0)
-
-    outer = 0
-    if beta < cfg.tol:
-        return x, report()
-    while outer < cfg.max_outer:
-        outer += 1
-        V, Hbar, _ = arnoldi(op, r / beta, cfg.restart)
-        k = Hbar.shape[1]
-        inner_total += k
-        y, rnorm = hessenberg_lsq(Hbar, beta)
-        x = x + V[:, :k] @ y
-        resid_coeffs = -(Hbar @ y)
-        resid_coeffs[0] += beta
-        r = V @ resid_coeffs[:V.shape[1]]
-        if not np.isfinite(rnorm) or not np.all(np.isfinite(x)):
-            raise NumericalError("GMRES iterate diverged (non-finite values)")
-        history.append(rnorm)
-        if rnorm < cfg.tol:
-            r_true = b - op.apply(x)
-            true_norm = float(np.linalg.norm(r_true))
-            if true_norm < cfg.tol:
-                history[-1] = true_norm
-                return x, report()
-            # recurrence was optimistic; restart from the true residual
-            r = r_true
-            beta = true_norm
-            continue
-        beta = float(np.linalg.norm(r))
-        if beta == 0.0:
-            beta = rnorm if rnorm > 0 else cfg.tol * 0.5
-    raise GmresNonConvergenceError(
-        f"no convergence in {cfg.max_outer} restart cycles "
-        f"(residual {history[-1]:.3e}, tol {cfg.tol:.1e})", report())
+    x0 = None if x0 is None else np.asarray(x0, dtype=np.float64)[:, None]
+    x, reports = gmres_block(op, b[:, None], cfg, x0)
+    return x[:, 0], reports[0]

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .krylov import GmresConfig, RankOneShiftedOperator, SolveReport, gmres_restarted
+from .krylov import (GmresConfig, RankOneShiftedOperator, SolveReport, batch_width,
+                     gmres_block)
 from .sparse import (Digraph, SparseMatrix, col_sums, matvec,
                      matvec_transpose, permute_symmetric, row_sums,
                      scale_rows_cols, strong_connectivity_certificate)
@@ -126,6 +127,16 @@ def eulerian_system(p: SparseMatrix, pi: np.ndarray, kind: str,
     return EulerianSystem(kind, l, u, pi, float(shift_alpha))
 
 
+def _pinv_block(sys: EulerianSystem, z: np.ndarray,
+                cfg: GmresConfig | None) -> tuple[np.ndarray, list[SolveReport]]:
+    """The pseudo-inverse applied to each column of z by one block solve."""
+    shift = (sys.u @ z) / sys.shift_alpha
+    op = RankOneShiftedOperator(sys.l, sys.u, sys.u, sys.shift_alpha)
+    x, reports = gmres_block(op, z, cfg)
+    x -= np.outer(sys.u, shift)
+    return x, reports
+
+
 def pinv_apply(sys: EulerianSystem, z: np.ndarray,
                cfg: GmresConfig | None = None) -> tuple[np.ndarray, SolveReport]:
     """Apply the pseudo-inverse to an arbitrary vector via one shifted solve.
@@ -133,10 +144,8 @@ def pinv_apply(sys: EulerianSystem, z: np.ndarray,
     Solves (L + alpha u uᵀ) x = z and removes the null-space component:
     the pseudo-inverse action is x - u (uᵀz) / alpha.
     """
-    z = np.asarray(z, dtype=np.float64)
-    op = RankOneShiftedOperator(sys.l, sys.u, sys.u, sys.shift_alpha)
-    x, rep = gmres_restarted(op, z, cfg=cfg)
-    return x - sys.u * (float(sys.u @ z) / sys.shift_alpha), rep
+    x, reports = _pinv_block(sys, np.asarray(z, dtype=np.float64)[:, None], cfg)
+    return x[:, 0], reports[0]
 
 
 def pinv_column(sys: EulerianSystem, j: int,
@@ -152,7 +161,7 @@ def pinv_column(sys: EulerianSystem, j: int,
 
 def pinv_columns(sys: EulerianSystem, indices,
                  cfg: GmresConfig | None = None) -> tuple[np.ndarray, list[SolveReport]]:
-    """A block of pseudo-inverse columns, one independent solve per column.
+    """A block of pseudo-inverse columns, solved in lockstep batches.
 
     All indices are checked before any solve starts. Returns the columns in
     the order given, with one report per column.
@@ -162,11 +171,16 @@ def pinv_columns(sys: EulerianSystem, indices,
     for j in idx:
         if not 0 <= j < n:
             raise ValueError(f"column index {j} out of range for n={n}")
+    width = batch_width(n, (cfg or GmresConfig()).restart)
     block = np.empty((n, len(idx)))
     reports: list[SolveReport] = []
-    for c, j in enumerate(idx):
-        block[:, c], rep = pinv_column(sys, j, cfg)
-        reports.append(rep)
+    # one batch at a time, so that only the output block is full size
+    for start in range(0, len(idx), width):
+        part = idx[start:start + width]
+        e = np.zeros((n, len(part)))
+        e[part, np.arange(len(part))] = 1.0
+        block[:, start:start + width], reps = _pinv_block(sys, e, cfg)
+        reports += reps
     return block, reports
 
 
@@ -517,34 +531,34 @@ def general_pinv(lt: GeneralLaplacian, indices=None,
     v_g = v_raw / float(v_raw @ u_g)
     utu = float(u_g @ u_g)
 
-    def block_inverse_apply(y1: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        # (L^d leading block)^{-1} y1 through one full-size shifted solve
-        ztail = -float(sqrt_pi[:n1] @ y1) / sqrt_pi[n1]
-        z = np.concatenate([y1, [ztail]])
-        mz, rep = pinv_apply(sysd, z, cfg)
-        return mz[:n1] - (sqrt_pi[:n1] / sqrt_pi[n1]) * mz[n1], rep
-
-    # coupling column w = (1/vᵀv) (L11)^{-1} v1, one extra solve
-    z1 = sqrt_pi[:n1] * v_g[:n1] / dhat[:n1]
-    ld11_z1, extra_rep = block_inverse_apply(z1)
+    # (L^d leading block)^{-1} on each column of y1 through full-size shifted
+    # solves, all in one block: the coupling column w = (1/vᵀv) (L11)^{-1} v1
+    # first, then one column per requested index off the pivot
+    solved = [int(perm[j]) for j in idx if perm[j] < n1]
+    z = np.zeros((n, 1 + len(solved)))
+    y1 = z[:n1]
+    y1[:, 0] = sqrt_pi[:n1] * v_g[:n1] / dhat[:n1]
+    y1[solved, np.arange(1, 1 + len(solved))] = sqrt_pi[solved] / dhat[solved]
+    z[n1] = -(sqrt_pi[:n1] @ y1) / sqrt_pi[n1]
+    mz, reps = _pinv_block(sysd, z, cfg)
+    ld11 = mz[:n1]
+    ld11 -= np.outer(sqrt_pi[:n1] / sqrt_pi[n1], mz[n1])
+    extra_rep, reports = reps[0], reps[1:]
     vtv = float(v_g @ v_g)
-    w_vec = xp[:n1] * ld11_z1 / sqrt_pi[:n1] / vtv
+    w_vec = xp[:n1] * ld11[:, 0] / sqrt_pi[:n1] / vtv
     s_w = float(u_g[:n1] @ w_vec) / utu
 
     block = np.empty((n, len(idx)))
-    reports: list[SolveReport] = []
+    solve_col = 1
     for c, j in enumerate(idx):
         jp = int(perm[j])
         if jp < n1:
-            y1 = np.zeros(n1)
-            y1[jp] = sqrt_pi[jp] / dhat[jp]
-            ld11_col, rep = block_inverse_apply(y1)
-            a11_col = xp[:n1] * ld11_col / sqrt_pi[:n1]
+            a11_col = xp[:n1] * ld11[:, solve_col] / sqrt_pi[:n1]
+            solve_col += 1
             t_j = float(u_g[:n1] @ a11_col) / utu
             upper = (a11_col - u_g[:n1] * t_j - w_vec * v_g[jp]
                      + (s_w * v_g[jp]) * u_g[:n1])
             last = u_g[n1] * s_w * v_g[jp] - u_g[n1] * t_j
-            reports.append(rep)
         else:
             upper = v_g[n1] * s_w * u_g[:n1] - v_g[n1] * w_vec
             last = u_g[n1] * v_g[n1] * s_w

@@ -154,10 +154,15 @@ def _as_vector(x, n: int) -> np.ndarray:
 
 
 def matvec(m: SparseMatrix, x, counter: MvCounter | None = None) -> np.ndarray:
-    """y = M x. Increments `counter` by one when supplied."""
-    out = m.csr @ _as_vector(x, m.n_cols)
+    """y = M x for a vector, or for each column of an (n, k) block in one
+    sparse product. Increments `counter` by one per column when supplied."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim == 2 and x.shape[0] == m.n_cols:
+        out = m.csr @ x
+    else:
+        out = m.csr @ _as_vector(x, m.n_cols)
     if counter is not None:
-        counter.add()
+        counter.add(1 if x.ndim == 1 else x.shape[1])
     return out
 
 

@@ -128,6 +128,34 @@ class TestHessenbergLsq:
         assert abs(y[0] - 0.6) < 1e-14
         assert abs(res - 4.0) < 1e-14
 
+    def test_stack_matches_one_by_one(self):
+        rng = np.random.default_rng(29)
+        k = 6
+        h = np.triu(rng.normal(size=(5, k + 1, k)), k=-1)
+        beta = rng.uniform(0.5, 2.0, size=5)
+        ys, res = hessenberg_lsq(h, beta)
+        for b in range(5):
+            y1, r1 = hessenberg_lsq(h[b], beta[b])
+            np.testing.assert_allclose(ys[b], y1, rtol=1e-13, atol=1e-14)
+            assert abs(res[b] - r1) <= 1e-13 * max(r1, 1.0)
+
+    def test_steps_pad_with_zero_columns(self):
+        # a matrix using only its first s columns solves the s-column problem;
+        # the zero pivots of the padding leave those entries of y at zero
+        rng = np.random.default_rng(31)
+        k = 7
+        h = np.triu(rng.normal(size=(3, k + 1, k)), k=-1)
+        steps = np.array([7, 3, 1])
+        for b, s in enumerate(steps):
+            h[b, :, s:] = 0.0
+            h[b, s + 1:, :] = 0.0
+        ys, res = hessenberg_lsq(h, np.ones(3), steps)
+        for b, s in enumerate(steps):
+            y1, r1 = hessenberg_lsq(h[b, :s + 1, :s], 1.0)
+            np.testing.assert_allclose(ys[b, :s], y1, rtol=1e-13, atol=1e-14)
+            assert np.all(ys[b, s:] == 0.0)
+            assert abs(res[b] - r1) < 1e-13
+
     def test_not_hessenberg_rejected(self):
         h = np.ones((4, 3))
         with pytest.raises(ValueError):

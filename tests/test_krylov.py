@@ -9,6 +9,8 @@ from dpinv.krylov import (
     LinearOperator,
     RankOneShiftedOperator,
     arnoldi,
+    arnoldi_block,
+    gmres_block,
     gmres_restarted,
 )
 from dpinv.sparse import MvCounter, SparseMatrix
@@ -54,6 +56,17 @@ class TestLinearOperator:
         op2.apply(np.ones(4))
         assert counter.count == 2
 
+    def test_block_apply_counts_columns(self):
+        counter = MvCounter()
+        op, a = random_spd_operator(6, 2, counter)
+        x = np.random.default_rng(3).normal(size=(6, 4))
+        np.testing.assert_allclose(op.apply_block(x), a @ x, atol=1e-12)
+        assert counter.count == 4
+        with pytest.raises(ValueError):
+            op.apply_block(np.ones(6))
+        with pytest.raises(ValueError):
+            op.apply_block(np.ones((5, 2)))
+
     def test_rank_one_shift(self):
         m = SparseMatrix.identity(3)
         u = np.array([1.0, 0.0, 0.0])
@@ -95,6 +108,29 @@ class TestArnoldi:
         # the span of e0,e1 is invariant, so the basis closes after 2 steps
         assert breakdown == 2
         assert V.shape == (4, 2)
+
+    def test_block_freezes_broken_column(self):
+        # the middle start vector spans an invariant subspace of dimension 2:
+        # it stops after 2 steps and takes no product after that
+        a = np.diag(np.arange(1.0, 9.0))
+        a[0, 5] = a[6, 2] = 0.5
+        counter = MvCounter()
+        op = dense_operator(a, counter)
+        rng = np.random.default_rng(10)
+        starts = rng.normal(size=(3, 8))
+        starts[1] = [1.0, 1.0, 0, 0, 0, 0, 0, 0]
+        V = np.zeros((3, 6, 8))
+        V[:, 0] = starts / np.linalg.norm(starts, axis=1)[:, None]
+        H = np.zeros((3, 6, 5))
+        steps, broke = arnoldi_block(op, V, H)
+        assert list(steps) == [5, 2, 5] and list(broke) == [False, True, False]
+        assert counter.count == 12
+        for c, k in enumerate(steps):
+            basis = V[c, :k + 1].T if not broke[c] else V[c, :k].T
+            hbar = H[c, :k + 1, :k] if not broke[c] else H[c, :k, :k]
+            np.testing.assert_allclose(a @ V[c, :k].T, basis @ hbar, atol=1e-12)
+            np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        assert H[1, 2, 1] == 0.0
 
     def test_mv_count_one_per_step(self):
         op, _ = random_spd_operator(15, 9)
@@ -184,3 +220,61 @@ class TestGmres:
         x, _ = gmres_restarted(op, b, cfg=GmresConfig(restart=20, tol=1e-12))
         full = a + 1.5 * np.outer(u, u)
         np.testing.assert_allclose(full @ x, b, atol=1e-10)
+
+
+class TestGmresBlock:
+    def test_columns_match_one_column_solves(self):
+        op, a = random_spd_operator(30, 26)
+        b = np.random.default_rng(27).normal(size=(30, 5))
+        cfg = GmresConfig(restart=6, tol=1e-11)
+        x, reps = gmres_block(op, b, cfg)
+        for c in range(5):
+            xc, rc = gmres_restarted(dense_operator(a), b[:, c], cfg=cfg)
+            np.testing.assert_allclose(x[:, c], xc, atol=1e-11)
+            assert reps[c].mv_count == rc.mv_count
+            assert reps[c].outer_iterations == rc.outer_iterations
+        assert op.counter.count == sum(r.mv_count for r in reps)
+
+    def test_eigenvector_breaks_down_inside_batch(self):
+        # e0 is an exact eigenvector: its Krylov space closes after one step
+        rng = np.random.default_rng(28)
+        n = 20
+        a = rng.normal(size=(n, n)) + n * np.eye(n)
+        a[1:, 0] = 0.0
+        op = dense_operator(a)
+        b = rng.normal(size=(n, 4))
+        b[:, 2] = 0.0
+        b[0, 2] = 3.0
+        x, reps = gmres_block(op, b, GmresConfig(restart=8, tol=1e-10))
+        assert np.max(np.linalg.norm(b - a @ x, axis=0)) < 1e-10
+        assert reps[2].inner_iterations_total == 1
+        assert reps[2].mv_count == 2
+        assert all(r.final_residual < 1e-10 for r in reps)
+        assert all(r.inner_iterations_total > 1 for c, r in enumerate(reps) if c != 2)
+
+    def test_unconvergeable_column_raises_with_its_report(self):
+        # a cyclic shift on the first 6 coordinates stalls GMRES(1) for
+        # e0 - e1; the other right-hand sides live in an SPD block
+        n = 16
+        a = np.zeros((n, n))
+        a[:6, :6] = np.roll(np.eye(6), 1, axis=0)
+        a[6:, 6:] = random_spd_operator(n - 6, 29)[1]
+        op = dense_operator(a)
+        rng = np.random.default_rng(30)
+        b = np.zeros((n, 3))
+        b[6:, 0] = rng.normal(size=n - 6)
+        b[0, 1], b[1, 1] = 1.0, -1.0
+        b[6:, 2] = rng.normal(size=n - 6)
+        with pytest.raises(GmresNonConvergenceError) as exc:
+            gmres_block(op, b, GmresConfig(restart=1, tol=1e-12, max_outer=300))
+        rep = exc.value.report
+        assert rep.outer_iterations == 300
+        assert abs(rep.residual_history[0] - np.sqrt(2.0)) < 1e-14
+        assert rep.residual_history[-1] > 1e-12
+
+    def test_shape_checks(self):
+        op, _ = random_spd_operator(5, 31)
+        with pytest.raises(ValueError):
+            gmres_block(op, np.ones(5))
+        with pytest.raises(ValueError):
+            gmres_block(op, np.ones((5, 2)), x0=np.ones((5, 3)))

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from dpinv.errors import InputError, NumericalError
+import dpinv.krylov
+from dpinv.errors import GmresNonConvergenceError, InputError, NumericalError
 from dpinv.graphgen import random_graph
-from dpinv.krylov import GmresConfig
+from dpinv.krylov import GmresConfig, RankOneShiftedOperator
 from dpinv.laplacian import (
     EulerianSystem,
     GeneralLaplacian,
@@ -181,6 +182,74 @@ class TestPinvColumns:
             pinv_column(sysk, 8)
         with pytest.raises(ValueError, match="out of range"):
             pinv_columns(sysk, [0, -1])
+
+
+class TestBatchedColumns:
+    """Columns are solved in lockstep batches sized by the basis budget."""
+
+    COLS = [0, 3, 17, 42, 88, 120, 151, 199]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_width_does_not_change_columns(self, seed, monkeypatch):
+        # results agree to the solve tolerance, not bit for bit: batched
+        # Gram-Schmidt sums run in another order
+        p, _, pi = graph_system(200, seed=seed, extra=200)
+        sysk = eulerian_system(p, pi, "d")
+        cfg = GmresConfig(tol=1e-12)
+        assert dpinv.krylov.batch_width(200, cfg.restart) == 21
+        ref, ref_reps = pinv_columns(sysk, self.COLS, cfg)
+        for width in (1, 3):
+            monkeypatch.setattr(dpinv.krylov, "_BASIS_BYTES",
+                                width * 8 * (cfg.restart + 1) * 200)
+            assert dpinv.krylov.batch_width(200, cfg.restart) == width
+            block, reps = pinv_columns(sysk, self.COLS, cfg)
+            assert np.max(np.abs(block - ref)) < 1e-10
+            assert [r.mv_count for r in reps] == [r.mv_count for r in ref_reps]
+
+    def test_reported_products_match_counted_operands(self, monkeypatch):
+        p, _, pi = graph_system(120, seed=3, extra=120)
+        sysk = eulerian_system(p, pi, "r")
+        seen = []
+        inner = dpinv.krylov.matvec
+
+        def counting(m, x, counter=None):
+            seen.append(1 if np.ndim(x) == 1 else np.shape(x)[1])
+            return inner(m, x, counter)
+
+        monkeypatch.setattr(dpinv.krylov, "matvec", counting)
+        monkeypatch.setattr(dpinv.krylov, "_BASIS_BYTES", 7 * 8 * 31 * 120)
+        _, reports = pinv_columns(sysk, range(0, 120, 5), GmresConfig(tol=1e-11))
+        assert len(reports) == 24
+        assert sum(r.mv_count for r in reports) == sum(seen)
+        assert max(seen) == 7
+
+    def test_unreachable_tolerance_stops_early(self, monkeypatch):
+        # with z = 1e8 e0 the true residual floors near 1e-8 while the
+        # recurrence falls below 1e-9: the solve must stop at the floor and
+        # report the true residual, not run its 12-cycle cap. Whether the
+        # re-check of cycle 3 or of cycle 4 is the first not to halve its
+        # predecessor depends on rounding at the floor.
+        p, _, pi = graph_system(300, seed=0, extra=300)
+        sysk = eulerian_system(p, pi, "d")
+        z = np.zeros(300)
+        z[0] = 1e8
+        operands = []
+        inner = dpinv.krylov.matvec
+
+        def recording(m, x, counter=None):
+            operands.append(np.array(x))
+            return inner(m, x, counter)
+
+        monkeypatch.setattr(dpinv.krylov, "matvec", recording)
+        with pytest.raises(GmresNonConvergenceError, match="reachable floor") as exc:
+            pinv_apply(sysk, z, GmresConfig(tol=1e-9, max_outer=12))
+        rep = exc.value.report
+        assert rep.outer_iterations <= 4
+        # the last product is the failed re-check of the final iterate
+        op = RankOneShiftedOperator(sysk.l, sysk.u, sysk.u, sysk.shift_alpha)
+        true = float(np.linalg.norm(z - op.apply_block(operands[-1])[:, 0]))
+        assert rep.residual_history[-1] == pytest.approx(true, rel=1e-12)
+        assert rep.residual_history[-1] >= 1e-9
 
 
 class TestBorderedIdentities:

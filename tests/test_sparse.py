@@ -102,6 +102,21 @@ class TestMatvec:
         assert np.array_equal(matvec(m, [1.0, 2.0, 3.0]), [10.0, 0.0, -9.0, 0.0])
         assert np.array_equal(matvec_transpose(m, np.ones(4)), [0.0, 5.0, -3.0])
 
+    def test_block_operand_is_one_product_per_column(self):
+        # an (n, k) operand gives the k column products, bit for bit, and
+        # counts k products
+        rng = np.random.default_rng(14)
+        m, a = random_sparse(rng, 13, 29)
+        x = rng.standard_normal((29, 4))
+        c = MvCounter()
+        y = matvec(m, x, c)
+        assert c.count == 4
+        for k in range(4):
+            assert np.array_equal(y[:, k], matvec(m, x[:, k]))
+        np.testing.assert_allclose(y, a @ x, atol=1e-12)
+        with pytest.raises(ValueError):
+            matvec(m, np.ones((13, 4)))
+
     def test_counter_increments_once_per_product(self):
         rng = np.random.default_rng(4)
         m, _ = random_sparse(rng, 5, 5)
