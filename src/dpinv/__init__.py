@@ -11,9 +11,8 @@ from .laplacian import (EulerianSystem, GeneralLaplacian, build_laplacian,
                         check_eulerian, check_properties, embed_mmatrix,
                         eulerian_system, general_laplacian, general_pinv,
                         pinv_apply, pinv_column, pinv_columns,
-                        pinv_from_reduced, pinv_from_reduced_general,
-                        pinv_rank1_general, reduced_from_pinv_general,
-                        reduced_inverse_from_pinv)
+                        pinv_from_reduced_general, pinv_rank1_general,
+                        reduced_from_pinv_general)
 from .metrics import (PinvBlock, augment_evaporating, commute_time,
                       hitting_time, influence_scores, kemeny_constant,
                       pass_probability, trust_score, visits, visits_matrix)
@@ -44,8 +43,8 @@ __all__ = [
     "stationary_residual",
     "build_laplacian", "check_eulerian", "EulerianSystem", "eulerian_system",
     "pinv_apply", "pinv_column", "pinv_columns",
-    "reduced_inverse_from_pinv", "pinv_from_reduced", "pinv_rank1_general",
-    "reduced_from_pinv_general", "pinv_from_reduced_general",
+    "pinv_rank1_general", "reduced_from_pinv_general",
+    "pinv_from_reduced_general",
     "GeneralLaplacian", "general_laplacian", "general_pinv",
     "check_properties", "embed_mmatrix",
     "PinvBlock", "hitting_time", "commute_time", "visits", "visits_matrix",

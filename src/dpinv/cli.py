@@ -167,34 +167,27 @@ def cmd_general_pinv(args) -> int:
     block, info = general_pinv(lt, cols, cfg, sub)
     if args.report:
         mv = sum(r.mv_count for r in info.column_reports) + info.extra_report.mv_count
-        print(f"columns={len(cols)} pivot={info.pivot} mv_total={mv} "
+        print(f"columns={len(cols)} mv_total={mv} "
               f"stationary_mv={info.stationary.mv_count}", file=sys.stderr)
     _write_block(block, args.out, args.format)
     return 0
 
 
-def _parse_pairs(spec: str):
-    pairs = []
+def _parse_tuples(spec: str, arity: int) -> list[tuple[int, ...]]:
+    """Comma separated i:k (arity 2) or i:j:k (arity 3) node tuples."""
+    name, form = {2: ("pair", "i:k"), 3: ("triple", "i:j:k")}[arity]
+    out = []
     for tok in spec.split(","):
         if tok.strip() == "":
             continue
-        parts = tok.split(":")
-        if len(parts) != 2:
-            raise InputError(f"bad pair {tok!r}; use i:k")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return pairs
-
-
-def _parse_triples(spec: str):
-    triples = []
-    for tok in spec.split(","):
-        if tok.strip() == "":
-            continue
-        parts = tok.split(":")
-        if len(parts) != 3:
-            raise InputError(f"bad triple {tok!r}; use i:j:k")
-        triples.append((int(parts[0]), int(parts[1]), int(parts[2])))
-    return triples
+        try:
+            item = tuple(int(part) for part in tok.split(":"))
+        except ValueError:
+            item = ()
+        if len(item) != arity:
+            raise InputError(f"bad {name} {tok!r}; use {form}")
+        out.append(item)
+    return out
 
 
 def cmd_metrics(args) -> int:
@@ -203,8 +196,8 @@ def cmd_metrics(args) -> int:
         g = augment_evaporating(g, args.gamma)
     _require_sc(g)
     n = g.n
-    pairs = _parse_pairs(args.pairs) if args.pairs else []
-    triples = _parse_triples(args.triples) if args.triples else []
+    pairs = _parse_tuples(args.pairs, 2) if args.pairs else []
+    triples = _parse_tuples(args.triples, 3) if args.triples else []
     for i, k in pairs:
         if not (0 <= i < n and 0 <= k < n):
             raise InputError(f"pair {i}:{k} out of range for n={n}")
@@ -213,17 +206,14 @@ def cmd_metrics(args) -> int:
             raise InputError(f"triple {i}:{j}:{k} out of range for n={n}")
     want_influence = args.gamma is not None
     p, _ = build_transition(g)
-    sub = SubspaceConfig(ell=args.ell, tol=1e-12, max_iterations=args.max_iter,
-                         seed=args.seed)
-    stat = stationary_distribution(p, sub)
+    stat = stationary_distribution(p, _sub_cfg(args))
     sys_ = eulerian_system(p, stat.pi, "d")
     if want_influence or args.kemeny:
         needed = list(range(n))
     else:
         needed = sorted({k for _, k in pairs} | {i for i, _ in pairs}
                         | {j for _, j, _ in triples} | {k for _, _, k in triples})
-    cfg = GmresConfig(tol=1e-12)
-    blockmat, _ = pinv_columns(sys_, needed, cfg)
+    blockmat, _ = pinv_columns(sys_, needed, GmresConfig(tol=args.tol))
     block = PinvBlock("d", stat.pi, {j: blockmat[:, c] for c, j in enumerate(needed)})
     if pairs:
         print("i,k,hitting,commute")
@@ -448,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, default=None,
                    help="evaporation rate; adds the evaporating node and "
                         "prints influence scores")
-    _add_iter_args(p)
+    _add_iter_args(p, tol_default=1e-12)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("bench", help="scaling benchmark over generated graphs")

@@ -24,8 +24,8 @@ from .errors import InputError, NumericalError
 from .krylov import (GmresConfig, RankOneShiftedOperator, SolveReport, batch_width,
                      gmres_block)
 from .sparse import (Digraph, SparseMatrix, col_sums, matvec,
-                     matvec_transpose, permute_symmetric, row_sums,
-                     scale_rows_cols, strong_connectivity_certificate)
+                     matvec_transpose, row_sums, scale_rows_cols,
+                     strong_connectivity_certificate)
 from .stationary import StationaryResult, SubspaceConfig, stationary_distribution
 
 EULERIAN_KINDS = ("r", "d")
@@ -185,58 +185,13 @@ def pinv_columns(sys: EulerianSystem, indices,
 
 
 # ---------------------------------------------------------------------------
-# Bordered-inverse maps between a pseudo-inverse and the leading-block inverse.
+# The pseudo-inverse from a {1}-inverse, and the maps between a pseudo-inverse
+# and the leading-block inverse.
 
 
 def _split(b: np.ndarray):
     n = b.shape[0]
     return b[:n - 1, :n - 1], b[:n - 1, n - 1], b[n - 1, :n - 1], b[n - 1, n - 1]
-
-
-def _check_unit_positive_last(u: np.ndarray, name: str) -> None:
-    if u[-1] <= 0:
-        raise ValueError(f"{name} must have a positive last entry")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-8:
-        raise ValueError(f"{name} must have unit 2-norm")
-
-
-def reduced_inverse_from_pinv(b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Leading-block inverse from the pseudo-inverse (symmetric-null case).
-
-    For a nullity-one matrix A with A u = Aᵀu = 0, ‖u‖ = 1 and u_n > 0, the
-    inverse of the leading (n-1) block of A is recovered from B = A⁺ by
-    rank-one corrections against the last row and column of B.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] != u.shape[0]:
-        raise ValueError("pseudo-inverse and null vector sizes disagree")
-    _check_unit_positive_last(u, "null vector")
-    b11, b12, b21, bnn = _split(b)
-    u1, un = u[:-1], u[-1]
-    return (b11 - np.outer(u1, b21) / un - np.outer(b12, u1) / un
-            + (bnn / un ** 2) * np.outer(u1, u1))
-
-
-def pinv_from_reduced(a11_inv: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse from the leading-block inverse (symmetric-null case)."""
-    a11_inv = np.asarray(a11_inv, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    n = u.shape[0]
-    if a11_inv.shape != (n - 1, n - 1):
-        raise ValueError("leading-block inverse must be (n-1) x (n-1)")
-    _check_unit_positive_last(u, "null vector")
-    u1, un = u[:-1], u[-1]
-    w = a11_inv @ u1
-    t = a11_inv.T @ u1
-    s = float(u1 @ w)
-    b = np.empty((n, n))
-    b[:n - 1, :n - 1] = (a11_inv - np.outer(u1, t) - np.outer(w, u1)
-                         + s * np.outer(u1, u1))
-    b[:n - 1, n - 1] = un * s * u1 - un * w
-    b[n - 1, :n - 1] = un * s * u1 - un * t
-    b[n - 1, n - 1] = un ** 2 * s
-    return b
 
 
 def _check_null_pair(u: np.ndarray, v: np.ndarray) -> None:
@@ -248,36 +203,41 @@ def _check_null_pair(u: np.ndarray, v: np.ndarray) -> None:
 
 def pinv_rank1_general(solve_c, u: np.ndarray, v: np.ndarray,
                        rhs_indices=None) -> np.ndarray:
-    """Pseudo-inverse columns through a solver for the rank-one shift C.
+    """Pseudo-inverse columns through any {1}-inverse of A.
 
-    Given right/left null vectors u, v of A and a solver for
-    C = A + alpha u vᵀ, each pseudo-inverse column is the projection
-    (I - u uᵀ/uᵀu) C⁻¹ (I - v vᵀ/vᵀv) e_j, evaluated with one solve per
-    column plus one auxiliary solve for C⁻¹v.
+    Given right/left null vectors u, v of a nullity-one A and a block map
+    ``solve_c(Z) -> G Z`` for any G with A G A = A, each pseudo-inverse
+    column is the projection (I - u uᵀ/uᵀu) G (I - v vᵀ/vᵀv) e_j, since
+    A⁺ = A⁺ A G A A⁺. The inverse of a rank-one shift C = A + alpha u vᵀ is
+    one such G. ``solve_c`` is called once, on a block [v | e_j...] that it
+    may overwrite.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     n = u.shape[0]
     if v.shape != (n,):
         raise ValueError("null vectors must have equal length")
-    utu = float(u @ u)
-    vtv = float(v @ v)
-    x_aux = np.asarray(solve_c(v), dtype=np.float64)
     cols = list(range(n)) if rhs_indices is None else [int(j) for j in rhs_indices]
-    out = np.empty((n, len(cols)))
-    for c, j in enumerate(cols):
-        e = np.zeros(n)
-        e[j] = 1.0
-        q = np.asarray(solve_c(e), dtype=np.float64)
-        q = q - x_aux * (v[j] / vtv)
-        q = q - u * (float(u @ q) / utu)
-        out[:, c] = q
-    return out
+    for j in cols:
+        if not 0 <= j < n:
+            raise ValueError(f"column index {j} out of range for n={n}")
+    z = np.zeros((n, 1 + len(cols)))
+    z[:, 0] = v
+    z[cols, np.arange(1, 1 + len(cols))] = 1.0
+    gz = np.asarray(solve_c(z), dtype=np.float64)
+    q = gz[:, 1:]
+    q -= np.outer(gz[:, 0], v[cols] / float(v @ v))
+    q -= np.outer(u, (u @ q) / float(u @ u))
+    return np.ascontiguousarray(q)
 
 
 def reduced_from_pinv_general(b: np.ndarray, u: np.ndarray,
                               v: np.ndarray) -> np.ndarray:
-    """Leading-block inverse from the pseudo-inverse, distinct null vectors."""
+    """Leading-block inverse from the pseudo-inverse.
+
+    u and v are the right and left null vectors, paired so that vᵀu = 1,
+    with positive last entries; a symmetric null space takes v = u.
+    """
     b = np.asarray(b, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -293,7 +253,7 @@ def reduced_from_pinv_general(b: np.ndarray, u: np.ndarray,
 
 def pinv_from_reduced_general(a11_inv: np.ndarray, u: np.ndarray,
                               v: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse from the leading-block inverse, distinct null vectors."""
+    """Pseudo-inverse from the leading-block inverse; u, v as above."""
     a11_inv = np.asarray(a11_inv, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -458,7 +418,6 @@ class GeneralPinvInfo:
     pi: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    pivot: int
     stationary: StationaryResult
     column_reports: list[SolveReport]
     extra_report: SolveReport
@@ -466,17 +425,20 @@ class GeneralPinvInfo:
 
 def general_pinv(lt: GeneralLaplacian, indices=None,
                  cfg: GmresConfig | None = None,
-                 sub_cfg: SubspaceConfig | None = None,
-                 pivot: int | None = None) -> tuple[np.ndarray, GeneralPinvInfo]:
+                 sub_cfg: SubspaceConfig | None = None) -> tuple[np.ndarray, GeneralPinvInfo]:
     """Pseudo-inverse columns of a general Laplacian-like matrix.
 
-    The matrix is column-scaled by its null vector into a random-walk form,
-    the stationary distribution of the induced chain is computed, the scaled
-    problem is solved through the diagonally-scaled Eulerian route, and the
-    result is mapped back through the leading-block inverse using the
-    bordered-inverse identities with u = x and the computed left null vector.
-    One extra shifted solve provides the coupling column w used by every
-    requested column.
+    Column scaling by the right null vector x gives the random-walk form
+    L X = D̂ (I - P̂) with a stochastic chain P̂. With π its stationary
+    distribution and L_d the diagonally scaled Laplacian of P̂,
+
+        L = A L_d B,  A = D̂ Π^{-1/2},  B = Π^{1/2} X^{-1},
+
+    so G = X Π^{-1/2} L_d⁺ Π^{1/2} D̂^{-1} satisfies L G L = L, and
+    L⁺ = P_x G P_v with P_x = I - x xᵀ/xᵀx and P_v = I - v vᵀ/vᵀv, where
+    v = π / d̂ is the left null vector (see :func:`pinv_rank1_general`).
+    G is applied in one lockstep block of shifted L_d solves: the coupling
+    column v first, then one unit column per requested index.
     """
     if cfg is None:
         cfg = GmresConfig()
@@ -490,80 +452,37 @@ def general_pinv(lt: GeneralLaplacian, indices=None,
         raise InputError("a 1x1 singular matrix has the zero pseudo-inverse; "
                          "nothing to solve")
 
-    def chain_of(lmat: SparseMatrix, null: np.ndarray):
-        lhat = scale_rows_cols(lmat, np.ones(n), null)
-        dhat = lhat.diagonal()
-        if np.any(dhat <= 0):
-            raise InputError("scaled diagonal must stay strictly positive")
-        off = lhat.entry_rows != lhat.col_indices
-        rows_ = lhat.entry_rows[off]
-        pvals = -lhat.values[off] / dhat[rows_]
-        phat = SparseMatrix.from_coo(n, n, rows_, lhat.col_indices[off], pvals)
-        # absorb any tiny null-vector defect so the chain is exactly stochastic
-        rs = row_sums(phat)
-        if np.any(rs <= 0):
-            raise InputError("every node needs an outgoing transition")
-        phat = SparseMatrix(n, n, phat.row_offsets, phat.col_indices,
-                            phat.values / rs[phat.entry_rows])
-        return phat, dhat
-
-    phat0, dhat0 = chain_of(l, x)
+    lhat = scale_rows_cols(l, np.ones(n), x)
+    dhat = lhat.diagonal()
+    if np.any(dhat <= 0):
+        raise InputError("scaled diagonal must stay strictly positive")
+    off = lhat.entry_rows != lhat.col_indices
+    rows = lhat.entry_rows[off]
+    phat = SparseMatrix.from_coo(n, n, rows, lhat.col_indices[off],
+                                 -lhat.values[off] / dhat[rows])
+    # absorb any tiny null-vector defect so the chain is exactly stochastic
+    rs = row_sums(phat)
+    if np.any(rs <= 0):
+        raise InputError("every node needs an outgoing transition")
+    phat = SparseMatrix(n, n, phat.row_offsets, phat.col_indices,
+                        phat.values / rs[phat.entry_rows])
     if sub_cfg is None:
         sub_cfg = SubspaceConfig(tol=min(cfg.tol, 1e-9))
-    stat = stationary_distribution(phat0, sub_cfg)
-    if pivot is None:
-        pivot = int(np.argmax(stat.pi))
-    if not 0 <= pivot < n:
-        raise ValueError(f"pivot {pivot} out of range for n={n}")
+    stat = stationary_distribution(phat, sub_cfg)
+    pi = stat.pi
+    sysd = eulerian_system(phat, pi, "d")
+    sqrt_pi = np.sqrt(pi)
+    v = pi / dhat
+    v /= float(v @ x)
+    reports: list[SolveReport] = []
 
-    perm = np.arange(n)
-    perm[pivot], perm[n - 1] = perm[n - 1], perm[pivot]  # self-inverse swap
-    lp = permute_symmetric(l, perm) if pivot != n - 1 else l
-    xp = x[perm]
-    pip = stat.pi[perm]
-    phat, dhat = chain_of(lp, xp)
+    def apply_g(z: np.ndarray) -> np.ndarray:
+        z *= (sqrt_pi / dhat)[:, None]
+        y, reps = _pinv_block(sysd, z, cfg)
+        reports.extend(reps)
+        y *= (x / sqrt_pi)[:, None]
+        return y
 
-    sysd = eulerian_system(phat, pip, "d")
-    sqrt_pi = np.sqrt(pip)
-    n1 = n - 1
-    u_g = xp
-    v_raw = pip / dhat
-    v_g = v_raw / float(v_raw @ u_g)
-    utu = float(u_g @ u_g)
-
-    # (L^d leading block)^{-1} on each column of y1 through full-size shifted
-    # solves, all in one block: the coupling column w = (1/vᵀv) (L11)^{-1} v1
-    # first, then one column per requested index off the pivot
-    solved = [int(perm[j]) for j in idx if perm[j] < n1]
-    z = np.zeros((n, 1 + len(solved)))
-    y1 = z[:n1]
-    y1[:, 0] = sqrt_pi[:n1] * v_g[:n1] / dhat[:n1]
-    y1[solved, np.arange(1, 1 + len(solved))] = sqrt_pi[solved] / dhat[solved]
-    z[n1] = -(sqrt_pi[:n1] @ y1) / sqrt_pi[n1]
-    mz, reps = _pinv_block(sysd, z, cfg)
-    ld11 = mz[:n1]
-    ld11 -= np.outer(sqrt_pi[:n1] / sqrt_pi[n1], mz[n1])
-    extra_rep, reports = reps[0], reps[1:]
-    vtv = float(v_g @ v_g)
-    w_vec = xp[:n1] * ld11[:, 0] / sqrt_pi[:n1] / vtv
-    s_w = float(u_g[:n1] @ w_vec) / utu
-
-    block = np.empty((n, len(idx)))
-    solve_col = 1
-    for c, j in enumerate(idx):
-        jp = int(perm[j])
-        if jp < n1:
-            a11_col = xp[:n1] * ld11[:, solve_col] / sqrt_pi[:n1]
-            solve_col += 1
-            t_j = float(u_g[:n1] @ a11_col) / utu
-            upper = (a11_col - u_g[:n1] * t_j - w_vec * v_g[jp]
-                     + (s_w * v_g[jp]) * u_g[:n1])
-            last = u_g[n1] * s_w * v_g[jp] - u_g[n1] * t_j
-        else:
-            upper = v_g[n1] * s_w * u_g[:n1] - v_g[n1] * w_vec
-            last = u_g[n1] * v_g[n1] * s_w
-        colp = np.concatenate([upper, [last]])
-        block[:, c] = colp[perm]
-    v_orig = v_g[perm]
-    info = GeneralPinvInfo(stat.pi, x, v_orig, pivot, stat, reports, extra_rep)
+    block = pinv_rank1_general(apply_g, x, v, idx)
+    info = GeneralPinvInfo(pi, x, v, stat, reports[1:], reports[0])
     return block, info

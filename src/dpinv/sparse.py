@@ -197,16 +197,6 @@ def col_sums(m: SparseMatrix) -> np.ndarray:
     return np.bincount(m.col_indices, weights=m.values, minlength=m.n_cols)
 
 
-def permute_symmetric(m: SparseMatrix, perm: np.ndarray) -> SparseMatrix:
-    """M[perm][:, perm] for a square matrix."""
-    if m.n_rows != m.n_cols:
-        raise ValueError("symmetric permutation requires a square matrix")
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.shape[0])
-    return SparseMatrix.from_coo(m.n_rows, m.n_cols,
-                                 inv[m.entry_rows], inv[m.col_indices], m.values)
-
-
 @dataclass
 class Digraph:
     """Weighted directed graph as parallel arc arrays (weights > 0)."""

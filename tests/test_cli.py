@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dpinv.cli
 from dpinv.cli import main
 from dpinv.io import read_columns_csv, read_columns_raw, read_edge_list, read_vector
 from dpinv.oracle import stationary_direct
@@ -160,6 +161,16 @@ class TestGeneralPinv:
                           for line in out.strip().splitlines()])
         np.testing.assert_allclose(block, np.linalg.pinv(scaled), atol=1e-8)
 
+    def test_report_line(self, capsys, tmp_path):
+        lap = tmp_path / "lap.txt"
+        lap.write_text("0 0 1\n0 1 -1\n1 0 -1\n1 1 2\n1 2 -1\n"
+                       "2 1 -1\n2 2 1\n")
+        code, _, err = run(capsys, ["general-pinv", "--laplacian", str(lap),
+                                    "--cols", "0,2", "--report"])
+        assert code == 0
+        assert "columns=2" in err
+        assert "mv_total=" in err and "stationary_mv=" in err
+
     def test_property_violation_is_input_error(self, capsys, tmp_path):
         lap = tmp_path / "bad.txt"
         lap.write_text("0 0 1\n0 1 1\n1 0 -1\n1 1 1\n")
@@ -204,6 +215,36 @@ class TestMetrics:
                                     "--pairs", "0-1"])
         assert code == 2
         assert "bad pair" in err
+        code, _, err = run(capsys, ["metrics", str(cycle3_file),
+                                    "--pairs", "0:x"])
+        assert code == 2
+        assert "bad pair '0:x'; use i:k" in err
+
+    def test_bad_triple_item(self, capsys, cycle3_file):
+        code, _, err = run(capsys, ["metrics", str(cycle3_file),
+                                    "--triples", "0:1:2,1:y:0"])
+        assert code == 2
+        assert "bad triple '1:y:0'; use i:j:k" in err
+
+    @pytest.mark.parametrize("argv,tol", [([], 1e-12), (["--tol", "1e-3"], 1e-3)],
+                             ids=["default", "tol-1e-3"])
+    def test_tol_reaches_solvers(self, capsys, cycle3_file, monkeypatch, argv, tol):
+        seen = {}
+        real_pinv, real_stat = dpinv.cli.pinv_columns, dpinv.cli.stationary_distribution
+
+        def pinv_spy(sys_, cols, cfg=None):
+            seen["gmres"] = cfg.tol
+            return real_pinv(sys_, cols, cfg)
+
+        def stat_spy(p, cfg=None):
+            seen["stationary"] = cfg.tol
+            return real_stat(p, cfg)
+
+        monkeypatch.setattr(dpinv.cli, "pinv_columns", pinv_spy)
+        monkeypatch.setattr(dpinv.cli, "stationary_distribution", stat_spy)
+        code, _, _ = run(capsys, ["metrics", str(cycle3_file), "--pairs", "0:1"] + argv)
+        assert code == 0
+        assert seen == {"gmres": tol, "stationary": tol}
 
     def test_out_of_range_triple(self, capsys, cycle3_file):
         code, _, err = run(capsys, ["metrics", str(cycle3_file),

@@ -20,14 +20,12 @@ from dpinv.laplacian import (
     pinv_apply,
     pinv_column,
     pinv_columns,
-    pinv_from_reduced,
     pinv_from_reduced_general,
     pinv_rank1_general,
     reduced_from_pinv_general,
-    reduced_inverse_from_pinv,
 )
 from dpinv.oracle import dense_pinv_reference, penrose_check
-from dpinv.sparse import SparseMatrix, build_transition
+from dpinv.sparse import Digraph, SparseMatrix, build_transition
 from dpinv.stationary import SubspaceConfig, stationary_distribution
 
 TIGHT = GmresConfig(restart=50, tol=1e-12)
@@ -264,18 +262,20 @@ class TestBorderedIdentities:
 
     @pytest.mark.parametrize("kind", ["r", "d"])
     def test_reduced_roundtrip_symmetric_null(self, kind):
+        # u spans both null spaces and has unit norm, so v = u is a valid pair
         a, b, u = self._symmetric_null_case(14, 12, kind)
-        a11_inv = reduced_inverse_from_pinv(b, u)
+        a11_inv = reduced_from_pinv_general(b, u, u)
         np.testing.assert_allclose(a11_inv, np.linalg.inv(a[:-1, :-1]), atol=1e-9)
-        back = pinv_from_reduced(a11_inv, u)
+        back = pinv_from_reduced_general(a11_inv, u, u)
         np.testing.assert_allclose(back, b, atol=1e-9)
 
     def test_requires_unit_norm(self):
+        # with v = u the pairing vᵀu = 1 is the unit-norm condition
         _, b, u = self._symmetric_null_case(8, 13, "r")
-        with pytest.raises(ValueError, match="unit 2-norm"):
-            reduced_inverse_from_pinv(b, u * 2.0)
+        with pytest.raises(ValueError, match="vᵀu = 1"):
+            reduced_from_pinv_general(b, u * 2.0, u * 2.0)
         with pytest.raises(ValueError, match="positive last"):
-            pinv_from_reduced(np.eye(7), -u)
+            pinv_from_reduced_general(np.eye(7), -u, -u)
 
     def _distinct_null_case(self, n, seed):
         p, d, pi = graph_system(n, seed=seed)
@@ -310,6 +310,30 @@ class TestBorderedIdentities:
         np.testing.assert_allclose(full, b, atol=1e-9)
         some = pinv_rank1_general(solve_c, u, v, rhs_indices=[2, 5])
         np.testing.assert_allclose(some, full[:, [2, 5]], atol=1e-12)
+        for bad in (-1, 11):
+            with pytest.raises(ValueError, match="out of range"):
+                pinv_rank1_general(solve_c, u, v, rhs_indices=[0, bad])
+
+    def test_rank1_general_any_one_inverse(self):
+        # G = A⁺ + u wᵀ + y vᵀ satisfies A G A = A; the projection undoes
+        # both null-space terms, and the map is called once on [v | e_j...]
+        a, b, u, v = self._distinct_null_case(10, 19)
+        rng = np.random.default_rng(19)
+        g = b + np.outer(u, rng.normal(size=10)) + np.outer(rng.normal(size=10), v)
+        np.testing.assert_allclose(a @ g @ a, a, atol=1e-9)
+        calls = []
+
+        def apply_g(z):
+            calls.append(z.copy())
+            return g @ z
+
+        some = pinv_rank1_general(apply_g, u, v, rhs_indices=[4, 0, 9])
+        np.testing.assert_allclose(some, b[:, [4, 0, 9]], atol=1e-9)
+        assert len(calls) == 1
+        expected = np.zeros((10, 4))
+        expected[:, 0] = v
+        expected[[4, 0, 9], [1, 2, 3]] = 1.0
+        np.testing.assert_array_equal(calls[0], expected)
 
     def test_rank1_general_projector_identities(self):
         a, _, u, v = self._distinct_null_case(10, 17)
@@ -488,14 +512,6 @@ class TestGeneralPinv:
         some, _ = general_pinv(lt, indices=[1, 7, 11], cfg=TIGHT)
         np.testing.assert_allclose(some, full[:, [1, 7, 11]], atol=1e-10)
 
-    def test_pivot_override_consistent(self):
-        p, d, _ = graph_system(10, seed=25)
-        la = build_laplacian(p, "a", d=d)
-        lt = general_laplacian(la, np.ones(10))
-        auto, info = general_pinv(lt, cfg=TIGHT)
-        forced, _ = general_pinv(lt, cfg=TIGHT, pivot=0)
-        assert np.max(np.abs(auto - forced)) < 1e-7
-
     def test_scaled_null_vector(self):
         # a non-constant right null vector exercises the column scaling
         p, d, _ = graph_system(11, seed=26)
@@ -533,3 +549,38 @@ class TestGeneralPinv:
         block, info = general_pinv(lt, cfg=TIGHT)
         a11_inv = reduced_from_pinv_general(block, lt.x, info.v)
         np.testing.assert_allclose(a11_inv, np.linalg.inv(lap[:-1, :-1]), atol=1e-6)
+
+
+def two_cluster_laplacian(n, seed, decades=2.0):
+    """Kind-a Laplacian of two random clusters joined by one arc each way,
+    arc weights log-uniform over ``decades`` decades: a nearly reducible chain."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    ga = random_graph(half, extra=half // 2, seed=seed)
+    gb = random_graph(n - half, extra=half // 2, seed=seed + 100)
+    a, b = int(rng.integers(half)), int(rng.integers(half, n))
+    src = np.concatenate([ga.src, gb.src + half, [a, b]])
+    dst = np.concatenate([ga.dst, gb.dst + half, [b, a]])
+    weight = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=src.size)
+    p, d = build_transition(Digraph(n, src, dst, weight))
+    return build_laplacian(p, "a", d=d)
+
+
+class TestGeneralPinvNearReducible:
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_matches_dense_pinv(self, seed):
+        la = two_cluster_laplacian(60, seed)
+        dense = la.to_dense()
+        ref = np.linalg.pinv(dense)
+        lt = general_laplacian(la, np.ones(60))
+        full, info = general_pinv(lt, cfg=TIGHT)
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(full - ref).max() <= 1e-8 * scale
+        assert penrose_check(dense, full).max_residual <= 1e-6
+        # the heaviest node of pi is solved like any other column
+        idx = [int(np.argmax(info.pi)), 0, 59]
+        some, info_some = general_pinv(lt, indices=idx, cfg=TIGHT)
+        assert np.abs(some - ref[:, idx]).max() <= 1e-8 * scale
+        assert len(info_some.column_reports) == len(idx)
+        assert all(r.final_residual <= TIGHT.tol for r in info_some.column_reports)
+        assert info_some.extra_report.final_residual <= TIGHT.tol

@@ -7,8 +7,8 @@ from dpinv.errors import InputError
 from dpinv.graphgen import random_graph
 from dpinv.sparse import (Digraph, MvCounter, SparseMatrix, build_transition,
                           col_sums, is_strongly_connected, matvec,
-                          matvec_transpose, permute_symmetric, row_sums,
-                          scale_rows_cols, strong_connectivity_certificate)
+                          matvec_transpose, row_sums, scale_rows_cols,
+                          strong_connectivity_certificate)
 
 
 def random_sparse(rng, n_rows, n_cols, density=0.3):
@@ -171,13 +171,6 @@ class TestTransforms:
         m, a = random_sparse(rng, 5, 7)
         np.testing.assert_allclose(row_sums(m), a.sum(axis=1), atol=1e-14)
         np.testing.assert_allclose(col_sums(m), a.sum(axis=0), atol=1e-14)
-
-    def test_permute_symmetric(self):
-        rng = np.random.default_rng(7)
-        m, a = random_sparse(rng, 6, 6)
-        perm = rng.permutation(6)
-        p = permute_symmetric(m, perm)
-        np.testing.assert_array_equal(p.to_dense(), a[np.ix_(perm, perm)])
 
 
 class TestDigraph:
