@@ -5,12 +5,11 @@ from .errors import (DpinvError, GmresNonConvergenceError, InputError,
                      MissingColumnsError, NoRealEigenvalueError,
                      NumericalError, RankDeficiencyError)
 from .graphgen import GenConfig, preferential_attachment_digraph, random_graph
-from .krylov import (GmresConfig, LinearOperator, RankOneShiftedOperator,
-                     SolveReport, gmres_block, gmres_restarted)
+from .krylov import GmresConfig, SolveReport, gmres_block
 from .laplacian import (EulerianSystem, GeneralLaplacian, build_laplacian,
                         check_eulerian, check_properties, embed_mmatrix,
                         eulerian_system, general_laplacian, general_pinv,
-                        pinv_apply, pinv_column, pinv_columns,
+                        pinv_apply, pinv_columns,
                         pinv_from_reduced_general, pinv_rank1_general,
                         reduced_from_pinv_general)
 from .metrics import (PinvBlock, augment_evaporating, commute_time,
@@ -37,12 +36,11 @@ __all__ = [
     "build_transition", "is_strongly_connected",
     "strong_connectivity_certificate",
     "GenConfig", "preferential_attachment_digraph", "random_graph",
-    "LinearOperator", "RankOneShiftedOperator", "GmresConfig", "SolveReport",
-    "gmres_block", "gmres_restarted",
+    "GmresConfig", "SolveReport", "gmres_block",
     "SubspaceConfig", "StationaryResult", "stationary_distribution",
     "stationary_residual",
     "build_laplacian", "check_eulerian", "EulerianSystem", "eulerian_system",
-    "pinv_apply", "pinv_column", "pinv_columns",
+    "pinv_apply", "pinv_columns",
     "pinv_rank1_general", "reduced_from_pinv_general",
     "pinv_from_reduced_general",
     "GeneralLaplacian", "general_laplacian", "general_pinv",

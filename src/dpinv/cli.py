@@ -161,10 +161,8 @@ def cmd_general_pinv(args) -> int:
         x = dio.read_vector(args.nullvec)
     lt = general_laplacian(l, x)
     cols = _parse_cols(args.cols, l.n_rows)
-    cfg = GmresConfig(tol=args.tol)
-    sub = SubspaceConfig(ell=args.ell, tol=min(args.tol, 1e-9),
-                         max_iterations=args.max_iter, seed=args.seed)
-    block, info = general_pinv(lt, cols, cfg, sub)
+    block, info = general_pinv(lt, cols, GmresConfig(tol=args.tol),
+                               _sub_cfg(args, tol_cap=1e-9))
     if args.report:
         mv = sum(r.mv_count for r in info.column_reports) + info.extra_report.mv_count
         print(f"columns={len(cols)} mv_total={mv} "

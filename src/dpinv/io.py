@@ -69,22 +69,31 @@ def read_matrix_market(path) -> SparseMatrix:
             raise InputError(f"{path}: unsupported value type {value_type!r}")
         if symmetry not in ("general", "symmetric"):
             raise InputError(f"{path}: unsupported symmetry {symmetry!r}")
-        line = fh.readline()
+        lineno, line = 2, fh.readline()
         while line and line.lstrip().startswith("%"):
-            line = fh.readline()
+            lineno, line = lineno + 1, fh.readline()
         try:
             n_rows, n_cols, nnz = (int(v) for v in line.split())
         except ValueError as exc:
-            raise InputError(f"{path}: bad size line") from exc
+            raise InputError(f"{path}:{lineno}: bad size line") from exc
+        want = "row col" if value_type == "pattern" else "row col value"
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
-        for _ in range(nnz):
+        for lineno in range(lineno + 1, lineno + 1 + nnz):
             parts = fh.readline().split()
-            if len(parts) < 2:
-                raise InputError(f"{path}: truncated entry list")
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            v = float(parts[2]) if value_type != "pattern" else 1.0
+            if not parts:
+                raise InputError(f"{path}:{lineno}: truncated entry list")
+            if len(parts) < len(want.split()):
+                raise InputError(f"{path}:{lineno}: expected '{want}'")
+            try:
+                i, j = int(parts[0]) - 1, int(parts[1]) - 1
+                v = float(parts[2]) if value_type != "pattern" else 1.0
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
+            if not (0 <= i < n_rows and 0 <= j < n_cols):
+                raise InputError(f"{path}:{lineno}: index ({i + 1}, {j + 1}) outside "
+                                 f"the {n_rows} x {n_cols} matrix")
             rows.append(i)
             cols.append(j)
             vals.append(v)
@@ -183,11 +192,12 @@ _RAW_HEADER = struct.Struct("<II")
 
 
 def write_columns_raw(block: np.ndarray, path) -> None:
-    block = np.ascontiguousarray(np.atleast_2d(block), dtype=np.float64)
+    # a no-op on a C-ordered little-endian float64 block, else one copy
+    block = np.ascontiguousarray(np.atleast_2d(block), dtype="<f8")
     n, k = block.shape
     with open(path, "wb") as fh:
         fh.write(_RAW_HEADER.pack(n, k))
-        fh.write(block.astype("<f8").tobytes(order="C"))
+        fh.write(block.data)
 
 
 def read_columns_raw(path) -> np.ndarray:

@@ -7,6 +7,9 @@ cycle ends in one batched Givens least-squares solve. Every column keeps its
 own convergence state, and its residual is carried between cycles through
 the Krylov basis, so a column costs exactly as many matrix products as it
 takes inner steps plus its true-residual re-checks, whatever its batch.
+
+The operator is a callable ``apply`` that maps an (n, k) block to its image;
+the solvers count one product per column they apply it to.
 """
 
 from __future__ import annotations
@@ -18,74 +21,10 @@ import numpy as np
 
 from .dense import hessenberg_lsq
 from .errors import GmresNonConvergenceError, NumericalError
-from .sparse import MvCounter, SparseMatrix, matvec, matvec_transpose
 
 BREAKDOWN_TOL = 1e-14
 # Bytes one batch's Krylov basis may take; sets how many columns run in lockstep.
 _BASIS_BYTES = 1 << 20
-
-
-class LinearOperator:
-    """Square operator defined by its action; counts one product per column.
-
-    ``apply_fn`` must accept a vector and an (n, k) block alike.
-    """
-
-    def __init__(self, dimension: int, apply_fn=None, counter: MvCounter | None = None):
-        self.dimension = int(dimension)
-        self._apply_fn = apply_fn
-        self.counter = counter if counter is not None else MvCounter()
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.dimension,):
-            raise ValueError(f"operand must have shape ({self.dimension},)")
-        self.counter.add()
-        return self._raw_apply(x)
-
-    def apply_block(self, x: np.ndarray) -> np.ndarray:
-        """Apply to each column of an (n, k) block; counts k products."""
-        if x.ndim != 2 or x.shape[0] != self.dimension:
-            raise ValueError(f"operand must have shape ({self.dimension}, k)")
-        self.counter.add(x.shape[1])
-        return self._raw_apply(x)
-
-    def _raw_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._apply_fn(x)
-
-    @classmethod
-    def from_sparse(cls, m: SparseMatrix, transpose: bool = False,
-                    counter: MvCounter | None = None) -> "LinearOperator":
-        if m.n_rows != m.n_cols:
-            raise ValueError("operator requires a square matrix")
-        fn = (lambda x: matvec_transpose(m, x)) if transpose else (lambda x: matvec(m, x))
-        return cls(m.n_rows, fn, counter)
-
-
-class RankOneShiftedOperator(LinearOperator):
-    """x -> M x + alpha * u (vᵀ x) without forming the rank-one update.
-
-    A block operand takes one sparse product for all of its columns.
-    """
-
-    def __init__(self, base: SparseMatrix, u: np.ndarray, v: np.ndarray,
-                 alpha: float = 1.0, counter: MvCounter | None = None):
-        if base.n_rows != base.n_cols:
-            raise ValueError("operator requires a square matrix")
-        super().__init__(base.n_rows, None, counter)
-        self.base = base
-        self.u = np.ascontiguousarray(u, dtype=np.float64)
-        self.v = np.ascontiguousarray(v, dtype=np.float64)
-        if self.u.shape != (self.dimension,) or self.v.shape != (self.dimension,):
-            raise ValueError("shift vectors must match the operator dimension")
-        self.alpha = float(alpha)
-
-    def _raw_apply(self, x: np.ndarray) -> np.ndarray:
-        out = matvec(self.base, x)
-        # the shift is built as (k, n) rows: an (n, k) outer product with a
-        # small k runs numpy's inner loop over k and costs several times more
-        shift = out.T
-        shift += np.multiply.outer(self.alpha * (self.v @ x), self.u)
-        return out
 
 
 @dataclass
@@ -121,7 +60,7 @@ def batch_width(n: int, restart: int) -> int:
     return max(1, _BASIS_BYTES // (8 * (restart + 1) * n))
 
 
-def arnoldi_block(op: LinearOperator, V: np.ndarray, H: np.ndarray):
+def arnoldi_block(apply, V: np.ndarray, H: np.ndarray):
     """Arnoldi on a stack of start vectors: A V_c = V_c H_c for each column c.
 
     ``V`` is (k, ell + 1, n) with a unit start vector in each ``V[c, 0]``;
@@ -137,10 +76,10 @@ def arnoldi_block(op: LinearOperator, V: np.ndarray, H: np.ndarray):
     live = np.ones(k, dtype=bool)
     for j in range(ell):
         if live.all():
-            w = np.ascontiguousarray(op.apply_block(V[:, j].T).T)
+            w = np.ascontiguousarray(apply(V[:, j].T).T)
         else:
             w = np.zeros((k, V.shape[2]))
-            w[live] = op.apply_block(V[live, j].T).T
+            w[live] = apply(V[live, j].T).T
         basis = V[:, :j + 1]
         for _ in range(2):
             coeffs = np.matmul(basis, w[:, :, None])[:, :, 0]
@@ -157,43 +96,26 @@ def arnoldi_block(op: LinearOperator, V: np.ndarray, H: np.ndarray):
     return steps, ~live
 
 
-def arnoldi(op: LinearOperator, v1: np.ndarray, ell: int):
-    """Build an orthonormal Krylov basis: A V_k = V_{k+1} H.
-
-    Returns ``(V, H, breakdown)`` where H is (k+1) x k upper Hessenberg and
-    ``breakdown`` is the number of completed steps when the basis closed early
-    (else None). Without breakdown V has k+1 columns; with breakdown, k.
-    This is the one-column case of :func:`arnoldi_block`.
-    """
-    V = np.zeros((1, ell + 1, op.dimension))
-    H = np.zeros((1, ell + 1, ell))
-    V[0, 0] = v1
-    steps, broke = arnoldi_block(op, V, H)
-    k = int(steps[0])
-    if broke[0]:
-        return V[0, :k].T.copy(), H[0, :k + 1, :k].copy(), k
-    return V[0].T.copy(), H[0], None
-
-
-def gmres_block(op: LinearOperator, b: np.ndarray, cfg: GmresConfig | None = None,
+def gmres_block(apply, b: np.ndarray, cfg: GmresConfig | None = None,
                 x0: np.ndarray | None = None) -> tuple[np.ndarray, list[SolveReport]]:
     """Solve A X = B column by column by restarted GMRES, in lockstep batches.
 
-    ``b`` (and ``x0``, default zero) is (n, m). Columns run in batches of
-    :func:`batch_width`; within a batch each Arnoldi step is one block product
-    and each column keeps its own convergence state, products and report.
-    Results agree across batch widths to rounding, not bit for bit: batched
-    sums run in another order. ``SolveReport.wall_time`` is the wall
-    time of the column's batch. Raises :class:`GmresNonConvergenceError` with
-    the report of the first failing column, and :class:`NumericalError` when
-    an iterate turns non-finite.
+    ``apply`` maps an (n, k) block to A times it; ``b`` (and ``x0``, default
+    zero) is (n, m). Columns run in batches of :func:`batch_width`; within a
+    batch each Arnoldi step is one block product and each column keeps its
+    own convergence state, products and report. Results agree across batch
+    widths to rounding, not bit for bit: batched sums run in another order.
+    ``SolveReport.wall_time`` is the wall time of the column's batch. Raises
+    :class:`GmresNonConvergenceError` with the report of the first failing
+    column, whose last history entry is its true residual, and
+    :class:`NumericalError` when an iterate turns non-finite.
     """
     if cfg is None:
         cfg = GmresConfig()
-    n = op.dimension
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"right-hand sides must form an ({n}, k) block")
+    if b.ndim != 2:
+        raise ValueError("right-hand sides must form an (n, k) block")
+    n = b.shape[0]
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != b.shape:
@@ -207,14 +129,14 @@ def gmres_block(op: LinearOperator, b: np.ndarray, cfg: GmresConfig | None = Non
     reports: list[SolveReport] = []
     for start in range(0, m, width):
         cols = slice(start, start + width)
-        xb, reps = _gmres_batch(op, b[:, cols].T, None if x0 is None else x0[:, cols].T,
+        xb, reps = _gmres_batch(apply, b[:, cols].T, None if x0 is None else x0[:, cols].T,
                                 cfg, V, H)
         x[:, cols] = xb.T
         reports += reps
     return x, reports
 
 
-def _gmres_batch(op, b, x0, cfg, V, H):
+def _gmres_batch(apply, b, x0, cfg, V, H):
     """Restarted GMRES on the rows of ``b`` (k, n) in lockstep; see gmres_block.
 
     Convergence is judged on the least-squares residual carried by each
@@ -233,7 +155,7 @@ def _gmres_batch(op, b, x0, cfg, V, H):
         r = b.copy()
     else:
         x = np.array(x0)
-        r = b - op.apply_block(x.T).T
+        r = b - apply(x.T).T
         mv += 1
     beta = np.linalg.norm(r, axis=1)
     history = [[float(v)] for v in beta]
@@ -251,7 +173,10 @@ def _gmres_batch(op, b, x0, cfg, V, H):
     while active.any():
         act = np.flatnonzero(active)
         if cycle == cfg.max_outer:
+            # quote the true residual: the last cycle may have made no re-check
             c = int(act[0])
+            history[c][-1] = float(np.linalg.norm(b[c] - apply(x[c][:, None])[:, 0]))
+            mv[c] += 1
             raise GmresNonConvergenceError(
                 f"no convergence in {cfg.max_outer} restart cycles "
                 f"(residual {history[c][-1]:.3e}, tol {cfg.tol:.1e})", report(c))
@@ -259,7 +184,7 @@ def _gmres_batch(op, b, x0, cfg, V, H):
         Vb, Hb = V[:act.size], H[:act.size]
         Hb.fill(0.0)
         Vb[:, 0] = r[act] / beta[act, None]
-        steps, _ = arnoldi_block(op, Vb, Hb)
+        steps, _ = arnoldi_block(apply, Vb, Hb)
         outer[act] += 1
         inner[act] += steps
         mv[act] += steps
@@ -284,7 +209,7 @@ def _gmres_batch(op, b, x0, cfg, V, H):
         chk = act[met]
         if chk.size == 0:
             continue
-        r_true = b[chk] - op.apply_block(x[chk].T).T
+        r_true = b[chk] - apply(x[chk].T).T
         mv[chk] += 1
         true_norm = np.linalg.norm(r_true, axis=1)
         for c, v in zip(chk, true_norm):
@@ -305,19 +230,3 @@ def _gmres_batch(op, b, x0, cfg, V, H):
     wall = time.perf_counter() - t0
     return x, [report(c, wall) for c in range(k)]
 
-
-def gmres_restarted(op: LinearOperator, b: np.ndarray,
-                    x0: np.ndarray | None = None,
-                    cfg: GmresConfig | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Solve A x = b by restarted GMRES: the one-column case of :func:`gmres_block`.
-
-    A converged solve costs its inner steps plus one true-residual re-check.
-    Raises :class:`GmresNonConvergenceError` with the partial report when the
-    outer-iteration cap is hit or the tolerance lies below the reachable floor.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (op.dimension,):
-        raise ValueError("right-hand side length mismatch")
-    x0 = None if x0 is None else np.asarray(x0, dtype=np.float64)[:, None]
-    x, reports = gmres_block(op, b[:, None], cfg, x0)
-    return x[:, 0], reports[0]

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .krylov import (GmresConfig, RankOneShiftedOperator, SolveReport, batch_width,
-                     gmres_block)
+from .krylov import GmresConfig, SolveReport, batch_width, gmres_block
 from .sparse import (Digraph, SparseMatrix, col_sums, matvec,
                      matvec_transpose, row_sums, scale_rows_cols,
                      strong_connectivity_certificate)
@@ -127,36 +126,31 @@ def eulerian_system(p: SparseMatrix, pi: np.ndarray, kind: str,
     return EulerianSystem(kind, l, u, pi, float(shift_alpha))
 
 
-def _pinv_block(sys: EulerianSystem, z: np.ndarray,
-                cfg: GmresConfig | None) -> tuple[np.ndarray, list[SolveReport]]:
-    """The pseudo-inverse applied to each column of z by one block solve."""
-    shift = (sys.u @ z) / sys.shift_alpha
-    op = RankOneShiftedOperator(sys.l, sys.u, sys.u, sys.shift_alpha)
-    x, reports = gmres_block(op, z, cfg)
-    x -= np.outer(sys.u, shift)
-    return x, reports
-
-
 def pinv_apply(sys: EulerianSystem, z: np.ndarray,
-               cfg: GmresConfig | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Apply the pseudo-inverse to an arbitrary vector via one shifted solve.
+               cfg: GmresConfig | None = None) -> tuple[np.ndarray, list[SolveReport]]:
+    """The pseudo-inverse applied to each column of an (n, k) block z.
 
-    Solves (L + alpha u uᵀ) x = z and removes the null-space component:
-    the pseudo-inverse action is x - u (uᵀz) / alpha.
+    Solves (L + alpha u uᵀ) X = z in one lockstep block and removes the
+    null-space component: the pseudo-inverse action is X - u (uᵀz) / alpha.
+    Returns X with one report per column.
     """
-    x, reports = _pinv_block(sys, np.asarray(z, dtype=np.float64)[:, None], cfg)
-    return x[:, 0], reports[0]
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] != sys.l.n_rows:
+        raise ValueError(f"right-hand sides must form an ({sys.l.n_rows}, k) block")
+    u, alpha = sys.u, sys.shift_alpha
 
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = matvec(sys.l, x)
+        # the shift is built as (k, n) rows: an (n, k) outer product with a
+        # small k runs numpy's inner loop over k and costs several times more
+        shift = out.T
+        shift += np.multiply.outer(alpha * (u @ x), u)
+        return out
 
-def pinv_column(sys: EulerianSystem, j: int,
-                cfg: GmresConfig | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Column j of the pseudo-inverse."""
-    n = sys.l.n_rows
-    if not 0 <= j < n:
-        raise ValueError(f"column index {j} out of range for n={n}")
-    e = np.zeros(n)
-    e[j] = 1.0
-    return pinv_apply(sys, e, cfg)
+    null_part = (u @ z) / alpha
+    x, reports = gmres_block(apply, z, cfg)
+    x -= np.outer(u, null_part)
+    return x, reports
 
 
 def pinv_columns(sys: EulerianSystem, indices,
@@ -179,7 +173,7 @@ def pinv_columns(sys: EulerianSystem, indices,
         part = idx[start:start + width]
         e = np.zeros((n, len(part)))
         e[part, np.arange(len(part))] = 1.0
-        block[:, start:start + width], reps = _pinv_block(sys, e, cfg)
+        block[:, start:start + width], reps = pinv_apply(sys, e, cfg)
         reports += reps
     return block, reports
 
@@ -478,7 +472,7 @@ def general_pinv(lt: GeneralLaplacian, indices=None,
 
     def apply_g(z: np.ndarray) -> np.ndarray:
         z *= (sqrt_pi / dhat)[:, None]
-        y, reps = _pinv_block(sysd, z, cfg)
+        y, reps = pinv_apply(sysd, z, cfg)
         reports.extend(reps)
         y *= (x / sqrt_pi)[:, None]
         return y

@@ -153,25 +153,24 @@ def _as_vector(x, n: int) -> np.ndarray:
     return x
 
 
-def matvec(m: SparseMatrix, x, counter: MvCounter | None = None) -> np.ndarray:
-    """y = M x for a vector, or for each column of an (n, k) block in one
-    sparse product. Increments `counter` by one per column when supplied."""
+def _product(a, x, n: int, counter: MvCounter | None) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim == 2 and x.shape[0] == m.n_cols:
-        out = m.csr @ x
-    else:
-        out = m.csr @ _as_vector(x, m.n_cols)
+    out = a @ (x if x.ndim == 2 and x.shape[0] == n else _as_vector(x, n))
     if counter is not None:
         counter.add(1 if x.ndim == 1 else x.shape[1])
     return out
 
 
+def matvec(m: SparseMatrix, x, counter: MvCounter | None = None) -> np.ndarray:
+    """y = M x for a vector, or for each column of an (n, k) block in one
+    sparse product. Increments `counter` by one per column when supplied."""
+    return _product(m.csr, x, m.n_cols, counter)
+
+
 def matvec_transpose(m: SparseMatrix, x, counter: MvCounter | None = None) -> np.ndarray:
-    """y = Mᵀ x without forming the transpose. Increments `counter` by one."""
-    out = m.csr_t @ _as_vector(x, m.n_rows)
-    if counter is not None:
-        counter.add()
-    return out
+    """y = Mᵀ x without forming the transpose, for a vector or an (n, k)
+    block as in :func:`matvec`. Increments `counter` by one per column."""
+    return _product(m.csr_t, x, m.n_rows, counter)
 
 
 def scale_rows_cols(m: SparseMatrix, left, right) -> SparseMatrix:

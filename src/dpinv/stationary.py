@@ -25,7 +25,6 @@ import numpy as np
 
 from .dense import ordered_schur_leading, orthogonalize
 from .errors import NoRealEigenvalueError, NumericalError, RankDeficiencyError
-from .krylov import LinearOperator
 from .sparse import MvCounter, SparseMatrix, matvec_transpose, row_sums
 
 _SEED_STREAM_START_BLOCK = 3
@@ -130,14 +129,12 @@ def stationary_distribution(p: SparseMatrix,
         width = max_width = min(cfg.ell, n)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([cfg.seed, _SEED_STREAM_START_BLOCK])))
-    op = LinearOperator.from_sparse(p, transpose=True)
+    counter = MvCounter()
     q = _orthogonalize_reseeding(_start_block(n, width, rng), rng)
     history: list[float] = []
     ref, stalled = np.inf, 0
     for iteration in range(1, cfg.max_iterations + 1):
-        w = np.empty_like(q)
-        for j in range(width):
-            w[:, j] = op.apply(q[:, j])
+        w = matvec_transpose(p, q, counter)
         b = q.T @ w
         try:
             u, _ = ordered_schur_leading(b, 1.0)
@@ -153,10 +150,10 @@ def stationary_distribution(p: SparseMatrix,
         total = lead.sum()
         positive = bool(lead.min() > 0.0) and total > 0.0
         candidate = lead / total if positive else lead / np.linalg.norm(lead)
-        res = stationary_residual(p, candidate, op.counter)
+        res = stationary_residual(p, candidate, counter)
         history.append(res)
         if positive and res <= cfg.tol:
-            return StationaryResult(candidate, res, iteration, op.counter.count,
+            return StationaryResult(candidate, res, iteration, counter.count,
                                     time.perf_counter() - t0, width,
                                     np.array(history))
         if res < 0.5 * ref:

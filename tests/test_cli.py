@@ -87,6 +87,15 @@ class TestStationary:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_matrix_market_entry_without_value(self, capsys, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "3 3 3\n1 2 1.0\n2 3\n3 1 1.0\n")
+        code, _, err = run(capsys, ["stationary", str(path)])
+        assert code == 2
+        assert f"{path}:4: expected 'row col value'" in err
+        assert "Traceback" not in err
+
     def test_zero_weight_arc_rejected(self, capsys, tmp_path):
         path = tmp_path / "dead.tsv"
         path.write_text("0 1\n1 0\n0 2\n1 2\n2 0 0.0\n")

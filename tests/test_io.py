@@ -104,6 +104,22 @@ class TestMatrixMarket:
         with pytest.raises(InputError, match="header"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize("entry,message", [
+        ("2 3", r"m\.mtx:4: expected 'row col value'"),
+        ("2 x 1.0", r"m\.mtx:4: invalid literal"),
+        ("3 1 1.0", r"m\.mtx:4: index \(3, 1\) outside the 2 x 3 matrix"),
+    ], ids=["no-value", "bad-index", "out-of-range"])
+    def test_bad_entry_reports_position(self, tmp_path, entry, message):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% a comment\n"
+            "2 3 2\n"
+            f"{entry}\n"
+            "1 1 5.0\n")
+        with pytest.raises(InputError, match=message):
+            read_matrix_market(path)
+
     def test_truncated_entries(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text(
@@ -179,12 +195,16 @@ class TestColumnBlocks:
             read_columns_csv(path)
 
     def test_raw_roundtrip_bitwise(self, tmp_path):
+        # values exact in float32, so every layout and width writes the same
+        # float64 stream
         rng = np.random.default_rng(62)
-        block = rng.normal(size=(11, 4))
+        block = rng.normal(size=(11, 4)).astype(np.float32).astype(np.float64)
         path = tmp_path / "b.raw"
-        write_columns_raw(block, path)
-        back = read_columns_raw(path)
-        np.testing.assert_array_equal(back, block)
+        for given in (block, np.asfortranarray(block), block.astype(np.float32)):
+            write_columns_raw(given, path)
+            back = read_columns_raw(path)
+            assert back.dtype == np.float64 and back.flags.c_contiguous
+            np.testing.assert_array_equal(back, block)
 
     def test_raw_vector_promoted(self, tmp_path):
         path = tmp_path / "v.raw"

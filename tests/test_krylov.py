@@ -1,24 +1,26 @@
-"""Tests for the Krylov machinery: operators, Arnoldi, restarted GMRES."""
+"""Tests for the Krylov machinery: block Arnoldi and restarted GMRES."""
 
 import numpy as np
 import pytest
 
 from dpinv.errors import GmresNonConvergenceError
-from dpinv.krylov import (
-    GmresConfig,
-    LinearOperator,
-    RankOneShiftedOperator,
-    arnoldi,
-    arnoldi_block,
-    gmres_block,
-    gmres_restarted,
-)
-from dpinv.sparse import MvCounter, SparseMatrix
+from dpinv.krylov import GmresConfig, arnoldi_block, gmres_block
+from dpinv.sparse import MvCounter, SparseMatrix, matvec, matvec_transpose
 
 
 def dense_operator(a, counter=None):
+    """Block apply of a dense matrix that counts one product per column."""
     a = np.asarray(a, dtype=np.float64)
-    return LinearOperator(a.shape[0], lambda x: a @ x, counter)
+    counter = MvCounter() if counter is None else counter
+
+    def apply(x):
+        if x.ndim != 2 or x.shape[0] != a.shape[0]:
+            raise ValueError(f"expected an ({a.shape[0]}, k) block, got {x.shape}")
+        counter.add(x.shape[1])
+        return a @ x
+
+    apply.counter = counter
+    return apply
 
 
 def random_spd_operator(n, seed, counter=None):
@@ -28,54 +30,51 @@ def random_spd_operator(n, seed, counter=None):
     return dense_operator(a, counter), a
 
 
+def arnoldi_one(op, v1, ell):
+    """One-column block Arnoldi: (V, H, steps, broke) for the start vector v1."""
+    V = np.zeros((1, ell + 1, v1.shape[0]))
+    H = np.zeros((1, ell + 1, ell))
+    V[0, 0] = v1
+    steps, broke = arnoldi_block(op, V, H)
+    return V[0], H[0], int(steps[0]), bool(broke[0])
+
+
+def gmres_one(op, b, x0=None, cfg=None):
+    """One-column gmres_block: (x, report) for the right-hand side b."""
+    x0 = None if x0 is None else x0[:, None]
+    x, reports = gmres_block(op, b[:, None], cfg, x0)
+    return x[:, 0], reports[0]
+
+
 class TestLinearOperator:
-    def test_from_dense_apply(self):
-        a = np.array([[2.0, 1.0], [0.0, 3.0]])
-        op = dense_operator(a)
-        np.testing.assert_allclose(op.apply(np.array([1.0, 1.0])), [3.0, 3.0])
-        assert op.counter.count == 1
+    """The block-apply functions the solvers take: sparse products and the dense fake."""
 
     def test_from_sparse_and_transpose(self):
         m = SparseMatrix.from_coo(3, 3, [0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
         x = np.array([1.0, 10.0, 100.0])
-        op = LinearOperator.from_sparse(m)
-        opt = LinearOperator.from_sparse(m, transpose=True)
-        np.testing.assert_allclose(op.apply(x), [10.0, 200.0, 3.0])
-        np.testing.assert_allclose(opt.apply(x), [300.0, 1.0, 20.0])
-
-    def test_shape_check(self):
-        op = dense_operator(np.eye(2))
-        with pytest.raises(ValueError):
-            op.apply(np.ones(3))
+        op = lambda z: matvec(m, z)
+        opt = lambda z: matvec_transpose(m, z)
+        np.testing.assert_allclose(op(x[:, None])[:, 0], [10.0, 200.0, 3.0])
+        np.testing.assert_allclose(opt(x[:, None])[:, 0], [300.0, 1.0, 20.0])
 
     def test_shared_counter(self):
         counter = MvCounter()
         op1, _ = random_spd_operator(4, 0, counter)
         op2, _ = random_spd_operator(4, 1, counter)
-        op1.apply(np.ones(4))
-        op2.apply(np.ones(4))
+        op1(np.ones((4, 1)))
+        op2(np.ones((4, 1)))
         assert counter.count == 2
 
     def test_block_apply_counts_columns(self):
         counter = MvCounter()
         op, a = random_spd_operator(6, 2, counter)
         x = np.random.default_rng(3).normal(size=(6, 4))
-        np.testing.assert_allclose(op.apply_block(x), a @ x, atol=1e-12)
+        np.testing.assert_allclose(op(x), a @ x, atol=1e-12)
         assert counter.count == 4
         with pytest.raises(ValueError):
-            op.apply_block(np.ones(6))
+            op(np.ones(6))
         with pytest.raises(ValueError):
-            op.apply_block(np.ones((5, 2)))
-
-    def test_rank_one_shift(self):
-        m = SparseMatrix.identity(3)
-        u = np.array([1.0, 0.0, 0.0])
-        v = np.array([0.0, 1.0, 0.0])
-        op = RankOneShiftedOperator(m, u, v, alpha=2.0)
-        x = np.array([1.0, 5.0, 2.0])
-        # I x + 2 * u * (v . x) = x + 10 e0
-        np.testing.assert_allclose(op.apply(x), [11.0, 5.0, 2.0])
-        assert op.counter.count == 1
+            op(np.ones((5, 2)))
 
 
 class TestArnoldi:
@@ -83,8 +82,9 @@ class TestArnoldi:
         op, a = random_spd_operator(20, 7)
         v1 = np.random.default_rng(8).normal(size=20)
         v1 /= np.linalg.norm(v1)
-        V, H, breakdown = arnoldi(op, v1, 8)
-        assert breakdown is None
+        V, H, steps, broke = arnoldi_one(op, v1, 8)
+        assert steps == 8 and not broke
+        V = V.T
         assert V.shape == (20, 9) and H.shape == (9, 8)
         np.testing.assert_allclose(a @ V[:, :8], V @ H, atol=1e-10)
         np.testing.assert_allclose(V.T @ V, np.eye(9), atol=1e-12)
@@ -93,10 +93,11 @@ class TestArnoldi:
         op = dense_operator(np.eye(5))
         v1 = np.zeros(5)
         v1[0] = 1.0
-        V, H, breakdown = arnoldi(op, v1, 4)
+        V, H, steps, broke = arnoldi_one(op, v1, 4)
         # Krylov space of the identity closes after one step
-        assert breakdown == 1
-        assert V.shape == (5, 1) and H.shape == (2, 1)
+        assert steps == 1 and broke
+        # one basis vector and a 2 x 1 Hessenberg; nothing is written past them
+        assert not V[1:].any() and not H[:, 1:].any() and not H[2:].any()
         assert abs(H[0, 0] - 1.0) < 1e-14 and abs(H[1, 0]) < 1e-14
 
     def test_breakdown_on_invariant_subspace(self):
@@ -104,10 +105,10 @@ class TestArnoldi:
         op = dense_operator(a)
         v1 = np.array([1.0, 1.0, 0.0, 0.0])
         v1 /= np.linalg.norm(v1)
-        V, H, breakdown = arnoldi(op, v1, 4)
+        V, H, steps, broke = arnoldi_one(op, v1, 4)
         # the span of e0,e1 is invariant, so the basis closes after 2 steps
-        assert breakdown == 2
-        assert V.shape == (4, 2)
+        assert steps == 2 and broke
+        assert not V[2:].any()
 
     def test_block_freezes_broken_column(self):
         # the middle start vector spans an invariant subspace of dimension 2:
@@ -135,7 +136,7 @@ class TestArnoldi:
     def test_mv_count_one_per_step(self):
         op, _ = random_spd_operator(15, 9)
         v1 = np.ones(15) / np.sqrt(15.0)
-        arnoldi(op, v1, 6)
+        arnoldi_one(op, v1, 6)
         assert op.counter.count == 6
 
 
@@ -143,7 +144,7 @@ class TestGmres:
     def test_solves_spd_system(self):
         op, a = random_spd_operator(30, 12)
         b = np.random.default_rng(13).normal(size=30)
-        x, rep = gmres_restarted(op, b, cfg=GmresConfig(restart=10, tol=1e-11))
+        x, rep = gmres_one(op, b, cfg=GmresConfig(restart=10, tol=1e-11))
         assert np.linalg.norm(b - a @ x) < 1e-11
         assert rep.final_residual < 1e-11
 
@@ -152,13 +153,13 @@ class TestGmres:
         # acceptance check of the true residual
         op, a = random_spd_operator(25, 14)
         b = np.random.default_rng(15).normal(size=25)
-        x, rep = gmres_restarted(op, b, cfg=GmresConfig(restart=7, tol=1e-10))
+        x, rep = gmres_one(op, b, cfg=GmresConfig(restart=7, tol=1e-10))
         assert rep.mv_count == rep.inner_iterations_total + 1
 
     def test_history_starts_at_rhs_norm(self):
         op, _ = random_spd_operator(10, 16)
         b = np.random.default_rng(17).normal(size=10)
-        _, rep = gmres_restarted(op, b, cfg=GmresConfig(restart=5, tol=1e-10))
+        _, rep = gmres_one(op, b, cfg=GmresConfig(restart=5, tol=1e-10))
         assert abs(rep.residual_history[0] - np.linalg.norm(b)) < 1e-14
         assert rep.residual_history[-1] < 1e-10
         # one history entry per completed cycle after the initial norm
@@ -167,14 +168,14 @@ class TestGmres:
     def test_nonincreasing_within_tolerance(self):
         op, _ = random_spd_operator(40, 18)
         b = np.random.default_rng(19).normal(size=40)
-        _, rep = gmres_restarted(op, b, cfg=GmresConfig(restart=4, tol=1e-10))
+        _, rep = gmres_one(op, b, cfg=GmresConfig(restart=4, tol=1e-10))
         h = rep.residual_history
         # restarted GMRES never increases the residual between cycles
         assert np.all(h[1:] <= h[:-1] * (1 + 1e-12))
 
     def test_zero_rhs_trivial(self):
         op, _ = random_spd_operator(8, 20)
-        x, rep = gmres_restarted(op, np.zeros(8), cfg=GmresConfig(tol=1e-12))
+        x, rep = gmres_one(op, np.zeros(8), cfg=GmresConfig(tol=1e-12))
         np.testing.assert_allclose(x, 0.0)
         assert rep.mv_count == 0 and rep.outer_iterations == 0
 
@@ -182,42 +183,60 @@ class TestGmres:
         op, a = random_spd_operator(12, 21)
         b = np.random.default_rng(22).normal(size=12)
         x_exact = np.linalg.solve(a, b)
-        x, rep = gmres_restarted(op, b, x0=x_exact, cfg=GmresConfig(tol=1e-9))
+        x, rep = gmres_one(op, b, x0=x_exact, cfg=GmresConfig(tol=1e-9))
         np.testing.assert_allclose(x, x_exact, atol=1e-12)
         assert rep.outer_iterations == 0 and rep.mv_count == 1
 
     def test_nonconvergence_carries_report(self):
         # an orthogonal rotation-heavy matrix with restart=1 stalls: each
-        # 1-dimensional Krylov correction is orthogonal to the residual
+        # 1-dimensional Krylov correction is orthogonal to the residual. No
+        # cycle reaches tol, so none re-checks its residual; the cap must
+        # quote the true residual of the final iterate, made by one more
+        # counted product
         n = 6
         perm = np.roll(np.eye(n), 1, axis=0)
-        op = dense_operator(perm)
         b = np.zeros(n)
         b[0] = 1.0
         b[1] = -1.0
+        operands = []
+        dense = dense_operator(perm)
+
+        def recording(x):
+            operands.append(np.array(x))
+            return dense(x)
+
         with pytest.raises(GmresNonConvergenceError) as exc:
-            gmres_restarted(op, b, cfg=GmresConfig(restart=1, tol=1e-12, max_outer=20))
+            gmres_one(recording, b, cfg=GmresConfig(restart=1, tol=1e-12, max_outer=20))
         rep = exc.value.report
         assert rep.outer_iterations == 20
         assert rep.residual_history[-1] > 1e-12
+        true = float(np.linalg.norm(b - perm @ operands[-1][:, 0]))
+        assert rep.residual_history[-1] == true
+        assert f"residual {true:.3e}" in str(exc.value)
+        assert rep.mv_count == rep.inner_iterations_total + 1 == dense.counter.count
+        assert len(rep.residual_history) == rep.outer_iterations + 1
 
     def test_restart_one_still_converges_on_spd(self):
         op, a = random_spd_operator(10, 23)
         b = np.random.default_rng(24).normal(size=10)
-        x, _ = gmres_restarted(op, b, cfg=GmresConfig(restart=1, tol=1e-9, max_outer=100000))
+        x, _ = gmres_one(op, b, cfg=GmresConfig(restart=1, tol=1e-9, max_outer=100000))
         assert np.linalg.norm(b - a @ x) < 1e-9
 
     def test_rank_one_shifted_solve(self):
-        # the operator used for the pseudo-inverse columns: sparse + alpha u u^T
+        # the operator form used for the pseudo-inverse columns: a sparse
+        # product plus alpha u uᵀ, applied to a block without forming it
         rng = np.random.default_rng(25)
         n = 15
         dense = rng.normal(size=(n, n)) * (rng.random(size=(n, n)) < 0.4)
         a = dense + n * np.eye(n)
         m = SparseMatrix.from_dense(a)
         u = rng.normal(size=n)
-        op = RankOneShiftedOperator(m, u, u, alpha=1.5)
+
+        def op(x):
+            return matvec(m, x) + 1.5 * np.outer(u, u @ x)
+
         b = rng.normal(size=n)
-        x, _ = gmres_restarted(op, b, cfg=GmresConfig(restart=20, tol=1e-12))
+        x, _ = gmres_one(op, b, cfg=GmresConfig(restart=20, tol=1e-12))
         full = a + 1.5 * np.outer(u, u)
         np.testing.assert_allclose(full @ x, b, atol=1e-10)
 
@@ -229,7 +248,7 @@ class TestGmresBlock:
         cfg = GmresConfig(restart=6, tol=1e-11)
         x, reps = gmres_block(op, b, cfg)
         for c in range(5):
-            xc, rc = gmres_restarted(dense_operator(a), b[:, c], cfg=cfg)
+            xc, rc = gmres_one(dense_operator(a), b[:, c], cfg=cfg)
             np.testing.assert_allclose(x[:, c], xc, atol=1e-11)
             assert reps[c].mv_count == rc.mv_count
             assert reps[c].outer_iterations == rc.outer_iterations

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import dpinv.krylov
+import dpinv.laplacian
 from dpinv.errors import GmresNonConvergenceError, InputError, NumericalError
 from dpinv.graphgen import random_graph
-from dpinv.krylov import GmresConfig, RankOneShiftedOperator
+from dpinv.krylov import GmresConfig
 from dpinv.laplacian import (
     EulerianSystem,
     GeneralLaplacian,
@@ -18,7 +19,6 @@ from dpinv.laplacian import (
     general_laplacian,
     general_pinv,
     pinv_apply,
-    pinv_column,
     pinv_columns,
     pinv_from_reduced_general,
     pinv_rank1_general,
@@ -158,7 +158,8 @@ class TestPinvColumns:
         cols = None
         for alpha in (0.5, 1.0, 2.0):
             sysk = eulerian_system(p, pi, "r", shift_alpha=alpha)
-            col, _ = pinv_column(sysk, 3, cfg=TIGHT)
+            block, _ = pinv_columns(sysk, [3], cfg=TIGHT)
+            col = block[:, 0]
             if cols is None:
                 cols = col
             else:
@@ -169,15 +170,47 @@ class TestPinvColumns:
         sysk = eulerian_system(p, pi, "r")
         ref = dense_pinv_reference(sysk.l.to_dense(), sysk.u)
         rng = np.random.default_rng(9)
-        z = rng.normal(size=18)
-        x, _ = pinv_apply(sysk, z, cfg=TIGHT)
+        z = rng.normal(size=(18, 3))
+        x, reports = pinv_apply(sysk, z, cfg=TIGHT)
         np.testing.assert_allclose(x, ref @ z, atol=1e-8)
+        assert len(reports) == 3
+
+    def test_rank_one_shift(self, monkeypatch):
+        # the solves see x -> L x + alpha u (uᵀ x), one sparse product per block
+        sysk = EulerianSystem("r", SparseMatrix.identity(3), np.array([1.0, 0.0, 0.0]),
+                              np.full(3, 1.0 / 3.0), shift_alpha=2.0)
+        applies, products = [], []
+        inner = dpinv.laplacian.matvec
+
+        def capture(apply, b, cfg=None):
+            applies.append(apply)
+            return np.zeros_like(b), []
+
+        def counting(m, x, counter=None):
+            products.append(np.shape(x))
+            return inner(m, x, counter)
+
+        monkeypatch.setattr(dpinv.laplacian, "gmres_block", capture)
+        monkeypatch.setattr(dpinv.laplacian, "matvec", counting)
+        pinv_apply(sysk, np.zeros((3, 1)))
+        x = np.array([[1.0, 0.0], [5.0, 1.0], [2.0, 3.0]])
+        # I x + 2 u (u . x) = x + 2 x[0] e0
+        np.testing.assert_allclose(applies[0](x), [[3.0, 0.0], [5.0, 1.0], [2.0, 3.0]])
+        assert products == [(3, 2)]
+
+    def test_apply_rejects_non_block(self):
+        p, _, pi = graph_system(8, seed=11)
+        sysk = eulerian_system(p, pi, "r")
+        with pytest.raises(ValueError, match=r"\(8, k\) block"):
+            pinv_apply(sysk, np.ones(8))
+        with pytest.raises(ValueError, match=r"\(8, k\) block"):
+            pinv_apply(sysk, np.ones((7, 2)))
 
     def test_bad_index_rejected(self):
         p, _, pi = graph_system(8, seed=11)
         sysk = eulerian_system(p, pi, "r")
         with pytest.raises(ValueError, match="out of range"):
-            pinv_column(sysk, 8)
+            pinv_columns(sysk, [8])
         with pytest.raises(ValueError, match="out of range"):
             pinv_columns(sysk, [0, -1])
 
@@ -208,13 +241,13 @@ class TestBatchedColumns:
         p, _, pi = graph_system(120, seed=3, extra=120)
         sysk = eulerian_system(p, pi, "r")
         seen = []
-        inner = dpinv.krylov.matvec
+        inner = dpinv.laplacian.matvec
 
         def counting(m, x, counter=None):
             seen.append(1 if np.ndim(x) == 1 else np.shape(x)[1])
             return inner(m, x, counter)
 
-        monkeypatch.setattr(dpinv.krylov, "matvec", counting)
+        monkeypatch.setattr(dpinv.laplacian, "matvec", counting)
         monkeypatch.setattr(dpinv.krylov, "_BASIS_BYTES", 7 * 8 * 31 * 120)
         _, reports = pinv_columns(sysk, range(0, 120, 5), GmresConfig(tol=1e-11))
         assert len(reports) == 24
@@ -229,23 +262,24 @@ class TestBatchedColumns:
         # predecessor depends on rounding at the floor.
         p, _, pi = graph_system(300, seed=0, extra=300)
         sysk = eulerian_system(p, pi, "d")
-        z = np.zeros(300)
+        z = np.zeros((300, 1))
         z[0] = 1e8
         operands = []
-        inner = dpinv.krylov.matvec
+        inner = dpinv.laplacian.matvec
 
         def recording(m, x, counter=None):
             operands.append(np.array(x))
             return inner(m, x, counter)
 
-        monkeypatch.setattr(dpinv.krylov, "matvec", recording)
+        monkeypatch.setattr(dpinv.laplacian, "matvec", recording)
         with pytest.raises(GmresNonConvergenceError, match="reachable floor") as exc:
             pinv_apply(sysk, z, GmresConfig(tol=1e-9, max_outer=12))
         rep = exc.value.report
         assert rep.outer_iterations <= 4
         # the last product is the failed re-check of the final iterate
-        op = RankOneShiftedOperator(sysk.l, sysk.u, sysk.u, sysk.shift_alpha)
-        true = float(np.linalg.norm(z - op.apply_block(operands[-1])[:, 0]))
+        x = operands[-1]
+        shifted = inner(sysk.l, x) + np.outer(sysk.u, sysk.shift_alpha * (sysk.u @ x))
+        true = float(np.linalg.norm(z - shifted))
         assert rep.residual_history[-1] == pytest.approx(true, rel=1e-12)
         assert rep.residual_history[-1] >= 1e-9
 

@@ -104,18 +104,19 @@ class TestMatvec:
 
     def test_block_operand_is_one_product_per_column(self):
         # an (n, k) operand gives the k column products, bit for bit, and
-        # counts k products
+        # counts k products, for M and for Mᵀ alike
         rng = np.random.default_rng(14)
         m, a = random_sparse(rng, 13, 29)
-        x = rng.standard_normal((29, 4))
-        c = MvCounter()
-        y = matvec(m, x, c)
-        assert c.count == 4
-        for k in range(4):
-            assert np.array_equal(y[:, k], matvec(m, x[:, k]))
-        np.testing.assert_allclose(y, a @ x, atol=1e-12)
-        with pytest.raises(ValueError):
-            matvec(m, np.ones((13, 4)))
+        for product, dense, n_in in ((matvec, a, 29), (matvec_transpose, a.T, 13)):
+            x = rng.standard_normal((n_in, 4))
+            c = MvCounter()
+            y = product(m, x, c)
+            assert c.count == 4
+            for k in range(4):
+                assert np.array_equal(y[:, k], product(m, x[:, k]))
+            np.testing.assert_allclose(y, dense @ x, atol=1e-12)
+            with pytest.raises(ValueError):
+                product(m, np.ones((n_in + 1, 4)))
 
     def test_counter_increments_once_per_product(self):
         rng = np.random.default_rng(4)
@@ -125,6 +126,10 @@ class TestMatvec:
         matvec(m, np.ones(5), c)
         matvec_transpose(m, np.ones(5), c)
         assert c.count == 3
+        # one counter shared by both products counts block columns too
+        matvec_transpose(m, np.ones((5, 2)), c)
+        matvec(m, np.ones((5, 3)), c)
+        assert c.count == 8
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.integers(2, 12))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import dpinv.krylov
 import dpinv.stationary
 from dpinv.errors import NumericalError
 from dpinv.graphgen import random_graph
@@ -176,20 +175,22 @@ class TestAdaptiveWidth:
         assert res.mv_count == 3 * res.iterations
 
     def test_mv_count_matches_products_while_growing(self, monkeypatch):
-        seen = 0
-        real = dpinv.krylov.matvec_transpose
+        # each round is one block product over the width's columns plus one
+        # residual product; the count is of operand columns, not calls
+        seen, calls = 0, 0
+        real = dpinv.stationary.matvec_transpose
 
-        def counting(*args, **kwargs):
-            nonlocal seen
-            seen += 1
-            return real(*args, **kwargs)
+        def counting(m, x, counter=None):
+            nonlocal seen, calls
+            seen += 1 if np.ndim(x) == 1 else np.shape(x)[1]
+            calls += 1
+            return real(m, x, counter)
 
-        # block products go through the operator, residual checks direct
-        monkeypatch.setattr(dpinv.krylov, "matvec_transpose", counting)
         monkeypatch.setattr(dpinv.stationary, "matvec_transpose", counting)
         res = stationary_distribution(directed_cycle(8))
         assert res.width == 8
         assert seen == res.mv_count
+        assert calls == 2 * res.iterations
 
     def test_width_caps_at_thirty(self):
         # period 40 exceeds the cap, so growth stops at 30 and the failure
