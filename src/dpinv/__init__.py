@@ -2,8 +2,7 @@
 random-walk metrics for strongly connected digraphs."""
 
 from .errors import (DpinvError, GmresNonConvergenceError, InputError,
-                     MissingColumnsError, NoRealEigenvalueError,
-                     NumericalError, RankDeficiencyError)
+                     MissingColumnsError, NumericalError)
 from .graphgen import GenConfig, preferential_attachment_digraph, random_graph
 from .krylov import GmresConfig, SolveReport, gmres_block
 from .laplacian import (EulerianSystem, GeneralLaplacian, build_laplacian,
@@ -30,8 +29,8 @@ def active_backend() -> str:
 
 
 __all__ = [
-    "DpinvError", "InputError", "NumericalError", "RankDeficiencyError",
-    "NoRealEigenvalueError", "GmresNonConvergenceError", "MissingColumnsError",
+    "DpinvError", "InputError", "NumericalError", "GmresNonConvergenceError",
+    "MissingColumnsError",
     "SparseMatrix", "Digraph", "MvCounter", "matvec", "matvec_transpose",
     "build_transition", "is_strongly_connected",
     "strong_connectivity_certificate",

@@ -296,8 +296,8 @@ def _verify_graph(g: Digraph, tol: float, label: str) -> bool:
             block = PinvBlock.from_full("d", stat.pi, blockmat)
             k = int(np.argmax(stat.pi))
             href = hitting_times_direct(p, k)
-            worst = max(abs(hitting_time(block, i, k) - href[i])
-                        for i in range(g.n) if i != k)
+            worst = max((abs(hitting_time(block, i, k) - href[i])
+                         for i in range(g.n) if i != k), default=0.0)
             check("hitting", worst <= 1e-6, f"worst_abs={worst:.3e} target={k}")
     return ok
 
@@ -341,6 +341,8 @@ def cmd_verify(args) -> int:
     elif args.suite is not None:
         if args.suite != "small-random":
             raise InputError(f"unknown suite {args.suite!r}")
+        if args.count < 1:
+            raise InputError(f"--count must be at least 1, got {args.count}")
         ok = True
         sizes = (8, 13, 21, 34, 55)
         for c in range(args.count):

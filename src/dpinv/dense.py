@@ -1,9 +1,10 @@
 """Small dense factorizations used by the iterative solvers and the oracles.
 
-Everything here works on plain 2-D numpy arrays of modest size (projected
-blocks, oracle systems), so the heavy lifting is delegated to LAPACK where a
-routine exists; the package-specific logic (rank signaling, eigenvalue
-ordering, Hessenberg least squares) lives here.
+Everything here works on plain numpy arrays of modest size (GMRES
+Hessenberg matrices, oracle systems). The Hessenberg least-squares solve runs
+its Givens rotations over a whole stack of matrices at once; the dense LU
+solve is LAPACK's, with a pivot check that turns a singular system into
+:class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -13,78 +14,9 @@ import warnings
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NoRealEigenvalueError, NumericalError, RankDeficiencyError
+from .errors import NumericalError
 
-RANK_TOL = 1e-13
 PIVOT_TOL = 1e-14
-
-
-def orthogonalize(v: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of v by modified Gram-Schmidt.
-
-    One full reorthogonalization pass keeps the result orthonormal to near
-    machine precision. A column whose residual norm falls below ``RANK_TOL``
-    signals a degenerate block via :class:`RankDeficiencyError`; callers
-    typically reseed that column and retry.
-    """
-    q = np.array(v, dtype=np.float64, copy=True)
-    if q.ndim == 1:
-        q = q[:, None]
-    n, k = q.shape
-    if k > n:
-        raise ValueError("more columns than rows cannot be orthonormalized")
-    for j in range(k):
-        w = q[:, j]
-        for _ in range(2):
-            if j:
-                w -= q[:, :j] @ (q[:, :j].T @ w)
-        nrm = np.linalg.norm(w)
-        if nrm < RANK_TOL:
-            raise RankDeficiencyError(column=j, norm=float(nrm))
-        q[:, j] = w / nrm
-    return q
-
-
-def ordered_schur_leading(b: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real Schur factorization B = U T Uᵀ with a chosen eigenvalue leading.
-
-    The real eigenvalue closest to ``target`` is moved to T[0, 0]. If the
-    spectrum holds no real eigenvalue (every eigenvalue sits in a complex
-    pair) there is nothing valid to promote and
-    :class:`NoRealEigenvalueError` is raised.
-    """
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("expected a square matrix")
-    m = b.shape[0]
-    if m == 1:
-        return np.ones((1, 1)), b.copy()
-    scale = max(1.0, float(np.abs(b).max()))
-    evals = np.linalg.eigvals(b)
-    imag_tol = 1e-9 * scale
-    real_mask = np.abs(evals.imag) <= imag_tol
-    if not real_mask.any():
-        raise NoRealEigenvalueError(
-            f"no real eigenvalue within {imag_tol:.1e} of the real axis")
-    reals = evals.real[real_mask]
-    lam = float(reals[np.argmin(np.abs(reals - target))])
-
-    def run(match_tol: float):
-        def select(re, im):
-            return abs(im) <= imag_tol and abs(re - lam) <= match_tol
-
-        return sla.schur(b, output="real", sort=select)
-
-    match_tol = max(1e-8 * scale, 1e-12)
-    try:
-        t, u, sdim = run(match_tol)
-        if sdim < 1:
-            t, u, sdim = run(match_tol * 1e4)
-    except sla.LinAlgError as exc:  # pragma: no cover - QR failure is pathological
-        raise NumericalError(f"Schur factorization failed: {exc}") from exc
-    if sdim < 1:  # pragma: no cover - selection failed twice
-        raise NumericalError("could not reorder the chosen eigenvalue to the front")
-    return u, t
 
 
 def hessenberg_lsq(h: np.ndarray, beta, steps=None):

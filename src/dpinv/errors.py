@@ -19,21 +19,6 @@ class NumericalError(DpinvError):
     """A numerical procedure failed: no convergence, singularity, NaN."""
 
 
-class RankDeficiencyError(NumericalError):
-    """Orthogonalization found a numerically dependent column."""
-
-    def __init__(self, column: int, norm: float):
-        self.column = column
-        self.norm = norm
-        super().__init__(
-            f"column {column} is numerically dependent (residual norm {norm:.3e})"
-        )
-
-
-class NoRealEigenvalueError(NumericalError):
-    """An ordered Schur step found no real eigenvalue to promote."""
-
-
 class GmresNonConvergenceError(NumericalError):
     """Restarted GMRES hit its outer-iteration cap. Carries the partial report."""
 

@@ -40,6 +40,8 @@ def read_edge_list(path) -> Digraph:
                 w = float(parts[2]) if len(parts) == 3 else 1.0
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
+            if s < 0 or t < 0:
+                raise InputError(f"{path}:{lineno}: negative node id in '{line}'")
             src.append(s)
             dst.append(t)
             wgt.append(w)
@@ -134,11 +136,14 @@ def read_matrix_auto(path) -> SparseMatrix:
             if len(parts) != 3:
                 raise InputError(f"{path}:{lineno}: expected 'row col value'")
             try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                vals.append(float(parts[2]))
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
+            if i < 0 or j < 0:
+                raise InputError(f"{path}:{lineno}: negative index in '{line}'")
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
     if not rows:
         raise InputError(f"{path}: no entries found")
     n = max(max(rows), max(cols)) + 1

@@ -1,10 +1,13 @@
 """Stationary distributions of irreducible chains by blocked subspace iteration.
 
-The iteration keeps an orthonormal block, projects the transposed transition
-matrix onto it, and rotates the block by an ordered real Schur step so that
-the Ritz direction for the eigenvalue nearest 1 leads. The block width must
-exceed the period of the chain for the leading direction to settle; widths
-are clamped to the state count, at which point the step is exact.
+Each round is textbook subspace iteration: apply Pᵀ to an orthonormal block
+q, take the candidate π from a Rayleigh–Ritz step (q y, where y is the
+eigenvector of the small matrix qᵀPᵀq whose eigenvalue is real and nearest
+1), and orthonormalize Pᵀq by Householder QR for the next round. QR keeps an
+orthonormal block even when Pᵀq is rank deficient, and the candidate does not
+feed back into the block. The block width must exceed the period of the chain
+for the Ritz direction to settle; widths are clamped to the state count, at
+which point the step is exact.
 
 A fixed width costs width + 1 products per round whether or not the extra
 columns speed convergence, and on most chains they do not. So by default the
@@ -23,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import ordered_schur_leading, orthogonalize
-from .errors import NoRealEigenvalueError, NumericalError, RankDeficiencyError
+from .errors import NumericalError
 from .sparse import MvCounter, SparseMatrix, matvec_transpose, row_sums
 
 _SEED_STREAM_START_BLOCK = 3
@@ -92,17 +94,18 @@ def _start_block(n: int, ell: int, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _orthogonalize_reseeding(block: np.ndarray,
-                             rng: np.random.Generator) -> np.ndarray:
-    # a chain whose P has low rank maps most of a wide block into the same
-    # few directions, so every column may need one reseed
-    work = np.array(block, copy=True)
-    for _ in range(work.shape[1] + 8):
-        try:
-            return orthogonalize(work)
-        except RankDeficiencyError as exc:
-            work[:, exc.column] = rng.standard_normal(work.shape[0])
-    raise NumericalError("could not maintain an independent iteration block")
+def _ritz_vector(b: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of b whose eigenvalue is real and nearest 1.
+
+    An eigenvalue within 1e-9·max(1, max|b|) of the real axis counts as
+    real. With none real, some eigenvector's real part is returned: the
+    candidate built from it must still pass the residual check, and the
+    next block does not depend on it.
+    """
+    evals, vecs = np.linalg.eig(b)
+    real = np.abs(evals.imag) <= 1e-9 * max(1.0, float(np.abs(b).max()))
+    pick = np.argmin(np.where(real, np.abs(evals.real - 1.0), np.inf))
+    return vecs[:, pick].real
 
 
 def stationary_distribution(p: SparseMatrix,
@@ -130,21 +133,12 @@ def stationary_distribution(p: SparseMatrix,
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([cfg.seed, _SEED_STREAM_START_BLOCK])))
     counter = MvCounter()
-    q = _orthogonalize_reseeding(_start_block(n, width, rng), rng)
+    q = np.linalg.qr(_start_block(n, width, rng))[0]
     history: list[float] = []
     ref, stalled = np.inf, 0
     for iteration in range(1, cfg.max_iterations + 1):
         w = matvec_transpose(p, q, counter)
-        b = q.T @ w
-        try:
-            u, _ = ordered_schur_leading(b, 1.0)
-            z = q @ u
-            az = w @ u
-        except NoRealEigenvalueError:
-            # nothing to promote this round; fall back to a plain power step
-            z = q
-            az = w
-        lead = z[:, 0]
+        lead = q @ _ritz_vector(q.T @ w)
         if lead.sum() < 0.0:
             lead = -lead
         total = lead.sum()
@@ -162,9 +156,9 @@ def stationary_distribution(p: SparseMatrix,
             stalled += 1
         if stalled == _STALL_ROUNDS and width < max_width:
             grown = min(2 * width, max_width)
-            az = np.hstack([az, rng.standard_normal((n, grown - width))])
+            w = np.hstack([w, rng.standard_normal((n, grown - width))])
             width, ref, stalled = grown, np.inf, 0
-        q = _orthogonalize_reseeding(az, rng)
+        q = np.linalg.qr(w)[0]
     raise NumericalError(
         f"stationary iteration did not converge in {cfg.max_iterations} rounds "
         f"(last residual {history[-1]:.3e}); the final block width {width} may "

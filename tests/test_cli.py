@@ -339,6 +339,22 @@ class TestVerify:
         assert code == 2
         assert "nothing to verify" in err
 
+    def test_one_node_graph(self, capsys, tmp_path):
+        # a single state has no pair to check hitting times on
+        path = tmp_path / "one.tsv"
+        path.write_text("0 0 1\n")
+        code, out, _ = run(capsys, ["verify", "--graph", str(path)])
+        assert code == 0
+        assert "PASS graph hitting" in out
+        assert "verification passed" in out
+
+    def test_suite_count_below_one(self, capsys):
+        code, out, err = run(capsys, ["verify", "--suite", "small-random",
+                                      "--count", "0"])
+        assert code == 2
+        assert "--count must be at least 1" in err
+        assert "verification passed" not in out
+
 
 class TestSeedEnv:
     def test_env_seed_used(self, tmp_path, monkeypatch):

@@ -42,9 +42,10 @@ class TestEdgeList:
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "g.tsv"
-        path.write_text("0 1\n0 1 2 3\n")
-        with pytest.raises(InputError, match=r"g\.tsv:2"):
-            read_edge_list(path)
+        for text in ("0 1\n0 1 2 3\n", "0 1\n-1 0 1\n"):
+            path.write_text(text)
+            with pytest.raises(InputError, match=r"g\.tsv:2: "):
+                read_edge_list(path)
 
     def test_non_numeric_reports_position(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -148,9 +149,10 @@ class TestMatrixAuto:
 
     def test_bad_triplet_line(self, tmp_path):
         path = tmp_path / "m.txt"
-        path.write_text("0 0\n")
-        with pytest.raises(InputError, match=r"m\.txt:1"):
-            read_matrix_auto(path)
+        for text, where in (("0 0\n", 1), ("0 0 1.0\n-1 1 -1.0\n", 2)):
+            path.write_text(text)
+            with pytest.raises(InputError, match=rf"m\.txt:{where}: "):
+                read_matrix_auto(path)
 
 
 class TestLoadGraph:

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpinv.stationary
 from dpinv.errors import NumericalError
 from dpinv.graphgen import random_graph
 from dpinv.oracle import stationary_direct
 from dpinv.sparse import Digraph, SparseMatrix, build_transition
-from dpinv.stationary import SubspaceConfig, stationary_distribution, stationary_residual
+from dpinv.stationary import (SubspaceConfig, _ritz_vector, stationary_distribution,
+                              stationary_residual)
 
 from conftest import directed_cycle, lazy_cycle
 
@@ -31,6 +34,18 @@ def layered_chain(layers, width):
                           for l in range(layers)])
     g = Digraph(layers * width, src, dst, np.ones(src.size))
     return build_transition(g)[0]
+
+
+def hamiltonian_chain(n, extra, seed):
+    """A random Hamiltonian cycle plus ``extra`` random arcs (self-loops and
+    duplicates included), weights 10^U(-3, 3): strongly connected, often
+    nearly reducible, and often with a rank-deficient P."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    src = np.concatenate([order, rng.integers(0, n, extra)])
+    dst = np.concatenate([np.roll(order, -1), rng.integers(0, n, extra)])
+    weight = 10.0 ** rng.uniform(-3.0, 3.0, src.size)
+    return build_transition(Digraph(n, src, dst, weight))[0]
 
 
 class TestConfig:
@@ -109,6 +124,16 @@ class TestAgainstOracle:
         ref = stationary_direct(p)
         assert np.max(np.abs(res.pi - ref)) < 1e-9
         assert res.pi.min() > 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_dense_solve_on_random_chains(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=30), label="n")
+        extra = data.draw(st.integers(min_value=0, max_value=3 * n), label="extra")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+        p = hamiltonian_chain(n, extra, seed)
+        res = stationary_distribution(p, SubspaceConfig(tol=1e-11))
+        assert np.max(np.abs(res.pi - stationary_direct(p))) <= 1e-8
 
     def test_seed_invariance_within_tolerance(self):
         g = random_graph(50, extra=20, seed=9)
@@ -200,9 +225,31 @@ class TestAdaptiveWidth:
             stationary_distribution(directed_cycle(40), cfg)
 
 
+class TestRitzVector:
+    def test_mixed_spectrum(self):
+        # real eigenvalues 0.2 and 2.5 and the pair 1 +/- 0.05j: the pair
+        # lies nearer 1, but only a real eigenvalue may be chosen
+        rng = np.random.default_rng(5)
+        s = rng.normal(size=(4, 4))
+        core = np.zeros((4, 4))
+        core[:2, :2] = [[2.0, -1.0025], [1.0, 0.0]]  # x^2 - 2x + 1.0025
+        core[2, 2], core[3, 3] = 0.2, 2.5
+        b = s @ core @ np.linalg.inv(s)
+        y = _ritz_vector(b)
+        assert y.dtype == np.float64
+        assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+        np.testing.assert_allclose(b @ y, 0.2 * y, atol=1e-10)
+
+    def test_no_real_eigenvalue_returns_vector(self):
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +/- i
+        y = _ritz_vector(rot)
+        assert y.shape == (2,) and y.dtype == np.float64
+        assert np.all(np.isfinite(y))
+
+
 class TestLowRankChains:
-    # P maps a wide block into rank(P) directions, so most columns need a
-    # reseed every round
+    # P maps a wide block into rank(P) directions; QR still returns an
+    # orthonormal block whose span holds all of Pᵀq
     @pytest.mark.parametrize("ell", [None, 30])
     def test_star(self, ell):
         n = 50
