@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input (unreadable files,
-bad graphs, bad arguments that parse), 3 numerical failure (non-convergence
-or a failed verification).
+bad graphs, bad arguments that parse), 3 numerical failure (non-convergence,
+a failed LAPACK call or a failed verification).
 """
 
 from __future__ import annotations
@@ -481,6 +481,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"dpinv: input error: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:  # a ValueError, but raised by LAPACK
+        print(f"dpinv: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError) as exc:
         print(f"dpinv: input error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,10 @@
 """Small dense factorizations used by the iterative solvers and the oracles.
 
 Everything here works on plain numpy arrays of modest size (GMRES
-Hessenberg matrices, oracle systems). The Hessenberg least-squares solve runs
-its Givens rotations over a whole stack of matrices at once; the dense LU
-solve is LAPACK's, with a pivot check that turns a singular system into
-:class:`NumericalError`.
+Hessenberg matrices, oracle systems) and hands the arithmetic to LAPACK. The
+Hessenberg least-squares solve factors a whole stack of matrices in one
+R-only QR; the dense LU solve adds a pivot check that turns a singular
+system into :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -20,15 +20,16 @@ PIVOT_TOL = 1e-14
 
 
 def hessenberg_lsq(h: np.ndarray, beta, steps=None):
-    """Minimize ‖β e₁ − H y‖₂ for (k+1)×k upper Hessenberg H via Givens rotations.
+    """Minimize ‖β e₁ − H y‖₂ for (k+1)×k upper Hessenberg H by one R-only QR.
 
     ``h`` may also be a stack of shape (b, k+1, k) with one ``beta`` per
-    matrix; the rotation and back-substitution loops then run over the k
-    columns, each step acting on the whole stack. ``steps`` gives, per
+    matrix; LAPACK then factors the whole stack in one call, and one stacked
+    solve with the triangular factors gives every y. ``steps`` gives, per
     matrix, how many leading columns are in use (the rest must be zero; the
-    default is all k), and the residual is read at row ``steps``. Returns
-    the minimizer and the exact residual norm of the minimized system, as
-    arrays over the stack when ``h`` is one.
+    default is all k), and the residual is read at row ``steps`` of R. A zero
+    pivot marks a direction that cannot reduce the residual: that entry of y
+    is exactly zero. Returns the minimizer and the residual norm, as arrays
+    over the stack when ``h`` is one.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim not in (2, 3) or h.shape[-2] != h.shape[-1] + 1:
@@ -39,32 +40,27 @@ def hessenberg_lsq(h: np.ndarray, beta, steps=None):
     if single:
         h = h[None]
     b, k = h.shape[0], h.shape[2]
-    # β e₁ rides along as column k, so each rotation is one 2x2 product
+    # β e₁ rides along as column k, so R's last column is Qᵀ β e₁
     hg = np.zeros((b, k + 1, k + 1))
     hg[:, :, :k] = h
     hg[:, 0, k] = beta
-    rot = np.empty((b, 2, 2))
-    for i in range(k):
-        pair = hg[:, i:i + 2, i]
-        r = np.hypot(pair[:, 0], pair[:, 1])
-        if r.all():
-            rot[:, 0] = pair / r[:, None]
-        else:  # a zero pair needs no rotation: use the identity
-            zero = r == 0.0
-            rot[:, 0] = pair / np.where(zero, 1.0, r)[:, None]
-            rot[zero, 0] = (1.0, 0.0)
-        rot[:, 1, 0] = -rot[:, 0, 1]
-        rot[:, 1, 1] = rot[:, 0, 0]
-        hg[:, i:i + 2, i:] = rot @ hg[:, i:i + 2, i:]
-    g = hg[:, :, k]
-    # a zero pivot means this direction cannot reduce the residual: y stays 0
-    pivot = hg[:, np.arange(k), np.arange(k)]
-    pivot[pivot == 0.0] = np.inf
-    y = np.zeros((b, k))
-    for i in range(k - 1, -1, -1):
-        y[:, i] = (g[:, i] - np.einsum("bj,bj->b", hg[:, i, i + 1:k], y[:, i + 1:])) / pivot[:, i]
+    # mode "raw" returns LAPACK's factored copy, R on and above the diagonal
+    # and reflectors below; mode "r" would copy the stack once more to clear
+    # them, and that copy slowed the GMRES products after it
+    r = np.linalg.qr(hg, mode="raw")[0].swapaxes(1, 2)
+    r[:, np.tri(k + 1, k + 1, -1, dtype=bool)] = 0.0
+    tri, g = r[:, :k, :k], r[:, :k, k]
+    zero = tri[:, np.arange(k), np.arange(k)] == 0.0
     rows = np.full(b, k) if steps is None else np.asarray(steps)
-    res = np.abs(g[np.arange(b), rows])
+    # the reflections past a zero pivot never reach β e₁, so the residual
+    # stays in the row of the first one
+    rows = np.minimum(rows, np.where(zero.any(axis=1), zero.argmax(axis=1), k))
+    res = np.abs(r[np.arange(b), rows, k])
+    # a unit pivot over a zero right-hand side keeps that entry of y at zero
+    c, i = np.nonzero(zero)
+    tri[c, i, i] = 1.0
+    g[c, i] = 0.0
+    y = np.linalg.solve(tri, g[:, :, None])[:, :, 0]
     if single:
         return y[0], float(res[0])
     return y, res

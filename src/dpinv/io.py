@@ -78,6 +78,8 @@ def read_matrix_market(path) -> SparseMatrix:
             n_rows, n_cols, nnz = (int(v) for v in line.split())
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad size line") from exc
+        if min(n_rows, n_cols, nnz) < 0:
+            raise InputError(f"{path}:{lineno}: bad size line")
         want = "row col" if value_type == "pattern" else "row col value"
         rows: list[int] = []
         cols: list[int] = []

@@ -3,10 +3,11 @@
 Columns are solved in lockstep batches. Each Arnoldi step makes one block
 product over the batch's live columns and orthogonalizes by two classical
 Gram-Schmidt passes as stacked matmuls on a (k, restart + 1, n) basis; each
-cycle ends in one batched Givens least-squares solve. Every column keeps its
-own convergence state, and its residual is carried between cycles through
-the Krylov basis, so a column costs exactly as many matrix products as it
-takes inner steps plus its true-residual re-checks, whatever its batch.
+cycle ends in one least-squares solve over the stack of Hessenbergs (one
+LAPACK QR, then one stacked solve with the triangular factors). Every column
+keeps its own convergence state, and its residual is carried between cycles
+through the Krylov basis, so a column costs exactly as many matrix products
+as it takes inner steps plus its true-residual re-checks, whatever its batch.
 
 The operator is a callable ``apply`` that maps an (n, k) block to its image;
 the solvers count one product per column they apply it to.

@@ -367,7 +367,6 @@ class GeneralLaplacian:
 
     l: SparseMatrix
     x: np.ndarray
-    v: np.ndarray | None = None
 
 
 def general_laplacian(l: SparseMatrix, x: np.ndarray) -> GeneralLaplacian:
@@ -410,7 +409,6 @@ def embed_mmatrix(l11: SparseMatrix, w: np.ndarray) -> GeneralLaplacian:
 @dataclass
 class GeneralPinvInfo:
     pi: np.ndarray
-    u: np.ndarray
     v: np.ndarray
     stationary: StationaryResult
     column_reports: list[SolveReport]
@@ -478,5 +476,5 @@ def general_pinv(lt: GeneralLaplacian, indices=None,
         return y
 
     block = pinv_rank1_general(apply_g, x, v, idx)
-    info = GeneralPinvInfo(pi, x, v, stat, reports[1:], reports[0])
+    info = GeneralPinvInfo(pi, v, stat, reports[1:], reports[0])
     return block, info

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dpinv.cli
+import dpinv.stationary
 from dpinv.cli import main
 from dpinv.io import read_columns_csv, read_columns_raw, read_edge_list, read_vector
 from dpinv.oracle import stationary_direct
@@ -86,6 +87,15 @@ class TestStationary:
                                     "--ell", "2", "--max-iter", "50"])
         assert code == 3
         assert "numerical failure" in err
+
+    def test_lapack_failure_is_numerical(self, capsys, graph_file, monkeypatch):
+        # LinAlgError subclasses ValueError, which alone would mean bad input
+        def broken(_b):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(dpinv.stationary, "_ritz_vector", broken)
+        code, _, err = run(capsys, ["stationary", str(graph_file)])
+        assert code == 3
+        assert "numerical failure: Eigenvalues did not converge" in err
 
     def test_matrix_market_entry_without_value(self, capsys, tmp_path):
         path = tmp_path / "g.mtx"

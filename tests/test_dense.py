@@ -40,20 +40,31 @@ class TestHessenbergLsq:
 
     def test_steps_pad_with_zero_columns(self):
         # a matrix using only its first s columns solves the s-column problem;
-        # the zero pivots of the padding leave those entries of y at zero
+        # the zero pivots of the padding leave those entries of y at zero. The
+        # last matrix has a zero first column (A v0 = 0, an in-block zero
+        # pivot at s = 1): nothing reduces its residual below beta.
         rng = np.random.default_rng(31)
-        k = 7
-        h = np.triu(rng.normal(size=(3, k + 1, k)), k=-1)
-        steps = np.array([7, 3, 1])
+        k = 30
+        h = np.triu(rng.normal(size=(4, k + 1, k)), k=-1)
+        h[3, :, 0] = 0.0
+        beta = rng.uniform(0.5, 2.0, size=4)
+        steps = np.array([1, 7, 30, 1])
         for b, s in enumerate(steps):
             h[b, :, s:] = 0.0
             h[b, s + 1:, :] = 0.0
-        ys, res = hessenberg_lsq(h, np.ones(3), steps)
+        ys, res = hessenberg_lsq(h, beta, steps)
         for b, s in enumerate(steps):
-            y1, r1 = hessenberg_lsq(h[b, :s + 1, :s], 1.0)
-            np.testing.assert_allclose(ys[b, :s], y1, rtol=1e-13, atol=1e-14)
+            block = h[b, :s + 1, :s]
+            rhs = np.zeros(s + 1)
+            rhs[0] = beta[b]
+            y_ref, *_ = np.linalg.lstsq(block, rhs, rcond=None)
+            # normwise: the k = 30 matrix has condition number 1.3e4
+            assert np.linalg.norm(ys[b, :s] - y_ref) <= 1e-11 * np.linalg.norm(y_ref)
             assert np.all(ys[b, s:] == 0.0)
-            assert abs(res[b] - r1) < 1e-13
+            r_ref = np.linalg.norm(rhs - block @ y_ref)
+            assert abs(res[b] - r_ref) <= 1e-13 * beta[b]
+            assert abs(res[b] - np.linalg.norm(rhs - block @ ys[b, :s])) <= 1e-13 * beta[b]
+        assert ys[3, 0] == 0.0 and res[3] == beta[3]
 
     def test_not_hessenberg_rejected(self):
         h = np.ones((4, 3))

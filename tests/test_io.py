@@ -105,17 +105,19 @@ class TestMatrixMarket:
         with pytest.raises(InputError, match="header"):
             read_matrix_market(path)
 
-    @pytest.mark.parametrize("entry,message", [
-        ("2 3", r"m\.mtx:4: expected 'row col value'"),
-        ("2 x 1.0", r"m\.mtx:4: invalid literal"),
-        ("3 1 1.0", r"m\.mtx:4: index \(3, 1\) outside the 2 x 3 matrix"),
-    ], ids=["no-value", "bad-index", "out-of-range"])
-    def test_bad_entry_reports_position(self, tmp_path, entry, message):
+    @pytest.mark.parametrize("size,entry,message", [
+        ("2 3 2", "2 3", r"m\.mtx:4: expected 'row col value'"),
+        ("2 3 2", "2 x 1.0", r"m\.mtx:4: invalid literal"),
+        ("2 3 2", "3 1 1.0", r"m\.mtx:4: index \(3, 1\) outside the 2 x 3 matrix"),
+        ("-3 3 2", "1 2 1.0", r"m\.mtx:3: bad size line"),
+        ("3 3 -1", "1 2 1.0", r"m\.mtx:3: bad size line"),
+    ], ids=["no-value", "bad-index", "out-of-range", "negative-size", "negative-count"])
+    def test_bad_entry_reports_position(self, tmp_path, size, entry, message):
         path = tmp_path / "m.mtx"
         path.write_text(
             "%%MatrixMarket matrix coordinate real general\n"
             "% a comment\n"
-            "2 3 2\n"
+            f"{size}\n"
             f"{entry}\n"
             "1 1 5.0\n")
         with pytest.raises(InputError, match=message):
