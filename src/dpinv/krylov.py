@@ -185,7 +185,7 @@ def _gmres_batch(apply, b, x0, cfg, V, H):
         Vb, Hb = V[:act.size], H[:act.size]
         Hb.fill(0.0)
         Vb[:, 0] = r[act] / beta[act, None]
-        steps, _ = arnoldi_block(apply, Vb, Hb)
+        steps, broke = arnoldi_block(apply, Vb, Hb)
         outer[act] += 1
         inner[act] += steps
         mv[act] += steps
@@ -199,15 +199,17 @@ def _gmres_batch(apply, b, x0, cfg, V, H):
             raise NumericalError("GMRES iterate diverged (non-finite values)")
         for c, v in zip(act, rnorm):
             history[c].append(float(v))
-        met = rnorm < cfg.tol
-        go = act[~met]
-        r[go] = r_carried[~met]
+        # a breakdown that left the residual where it was would repeat on
+        # every restart: re-check it, and the stall test below ends the solve
+        check = (rnorm < cfg.tol) | (broke & (rnorm >= beta[act]))
+        go = act[~check]
+        r[go] = r_carried[~check]
         beta[go] = np.linalg.norm(r[go], axis=1)
         last_miss[go] = np.inf
-        for c, v in zip(go, rnorm[~met]):
+        for c, v in zip(go, rnorm[~check]):
             if beta[c] == 0.0:
                 beta[c] = v if v > 0 else cfg.tol * 0.5
-        chk = act[met]
+        chk = act[check]
         if chk.size == 0:
             continue
         r_true = b[chk] - apply(x[chk].T).T

@@ -54,6 +54,9 @@ class TestHessenbergLsq:
             h[b, s + 1:, :] = 0.0
         ys, res = hessenberg_lsq(h, beta, steps)
         for b, s in enumerate(steps):
+            y1, r1 = hessenberg_lsq(h[b, :s + 1, :s], beta[b])
+            np.testing.assert_allclose(ys[b, :s], y1, rtol=1e-13, atol=1e-14)
+            assert abs(res[b] - r1) < 1e-13
             block = h[b, :s + 1, :s]
             rhs = np.zeros(s + 1)
             rhs[0] = beta[b]

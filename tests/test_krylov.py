@@ -291,6 +291,24 @@ class TestGmresBlock:
         assert abs(rep.residual_history[0] - np.sqrt(2.0)) < 1e-14
         assert rep.residual_history[-1] > 1e-12
 
+    def test_null_direction_stops_after_two_rechecks(self):
+        # A b = 0: the Krylov space breaks down at step 1 and no correction
+        # reduces the residual, so every restart would repeat the same cycle.
+        # The column is re-checked like a converged one and ends on the stall
+        # test after two cycles instead of running to max_outer
+        n = 8
+        a = random_spd_operator(n, 32)[1]
+        a[:, 0] = 0.0
+        op = dense_operator(a)
+        b = np.zeros((n, 1))
+        b[0, 0] = 2.0
+        with pytest.raises(GmresNonConvergenceError, match="reachable floor") as exc:
+            gmres_block(op, b, GmresConfig(restart=5, tol=1e-10))
+        rep = exc.value.report
+        assert rep.outer_iterations == 2 and rep.inner_iterations_total == 2
+        assert rep.mv_count == 4 == op.counter.count
+        assert list(rep.residual_history) == [2.0, 2.0, 2.0]
+
     def test_shape_checks(self):
         op, _ = random_spd_operator(5, 31)
         with pytest.raises(ValueError):
