@@ -84,10 +84,14 @@ def _print_block(block: np.ndarray) -> None:
         print(",".join(dio._FMT % v for v in row))
 
 
+def _require_raw_out(args) -> None:
+    """Reject raw output to stdout before any work is done."""
+    if args.format == "raw" and args.out is None:
+        raise InputError("raw output needs --out FILE")
+
+
 def _write_block(block: np.ndarray, out: str | None, fmt: str) -> None:
     if out is None:
-        if fmt == "raw":
-            raise InputError("raw output needs --out FILE")
         _print_block(block)
     elif fmt == "raw":
         dio.write_columns_raw(block, out)
@@ -134,14 +138,15 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_pinv(args) -> int:
+    _require_raw_out(args)
     g = dio.load_graph(args.graph)
+    cols = _parse_cols(args.cols, g.n)
     _require_sc(g)
     p, _ = build_transition(g)
     # pi is driven tighter than the column tolerance: d-kind column accuracy
     # degrades with the stationary residual amplified by 1/sqrt(min pi)
     stat = stationary_distribution(p, _sub_cfg(args, tol_cap=1e-10))
     sys_ = eulerian_system(p, stat.pi, args.kind)
-    cols = _parse_cols(args.cols, g.n)
     cfg = GmresConfig(tol=args.tol)
     block, reports = pinv_columns(sys_, cols, cfg)
     if args.report:
@@ -154,13 +159,14 @@ def cmd_pinv(args) -> int:
 
 
 def cmd_general_pinv(args) -> int:
+    _require_raw_out(args)
     l = dio.read_matrix_auto(args.laplacian)
+    cols = _parse_cols(args.cols, l.n_rows)
     if args.nullvec == "ones":
         x = np.ones(l.n_rows)
     else:
         x = dio.read_vector(args.nullvec)
     lt = general_laplacian(l, x)
-    cols = _parse_cols(args.cols, l.n_rows)
     block, info = general_pinv(lt, cols, GmresConfig(tol=args.tol),
                                _sub_cfg(args, tol_cap=1e-9))
     if args.report:

@@ -97,18 +97,18 @@ def arnoldi_block(apply, V: np.ndarray, H: np.ndarray):
     return steps, ~live
 
 
-def gmres_block(apply, b: np.ndarray, cfg: GmresConfig | None = None,
-                x0: np.ndarray | None = None) -> tuple[np.ndarray, list[SolveReport]]:
+def gmres_block(apply, b: np.ndarray,
+                cfg: GmresConfig | None = None) -> tuple[np.ndarray, list[SolveReport]]:
     """Solve A X = B column by column by restarted GMRES, in lockstep batches.
 
-    ``apply`` maps an (n, k) block to A times it; ``b`` (and ``x0``, default
-    zero) is (n, m). Columns run in batches of :func:`batch_width`; within a
-    batch each Arnoldi step is one block product and each column keeps its
-    own convergence state, products and report. Results agree across batch
-    widths to rounding, not bit for bit: batched sums run in another order.
-    ``SolveReport.wall_time`` is the wall time of the column's batch. Raises
-    :class:`GmresNonConvergenceError` with the report of the first failing
-    column, whose last history entry is its true residual, and
+    ``apply`` maps an (n, k) block to A times it; ``b`` is (n, m) and the
+    initial guess is zero. Columns run in batches of :func:`batch_width`;
+    within a batch each Arnoldi step is one block product and each column
+    keeps its own convergence state, products and report. Results agree
+    across batch widths to rounding, not bit for bit: batched sums run in
+    another order. ``SolveReport.wall_time`` is the wall time of the column's
+    batch. Raises :class:`GmresNonConvergenceError` with the report of the
+    first failing column, whose last history entry is its true residual, and
     :class:`NumericalError` when an iterate turns non-finite.
     """
     if cfg is None:
@@ -116,12 +116,7 @@ def gmres_block(apply, b: np.ndarray, cfg: GmresConfig | None = None,
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError("right-hand sides must form an (n, k) block")
-    n = b.shape[0]
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != b.shape:
-            raise ValueError("initial guesses must match the right-hand sides")
-    m = b.shape[1]
+    n, m = b.shape
     width = batch_width(n, cfg.restart)
     # one basis for every batch and every restart
     V = np.zeros((min(width, m), cfg.restart + 1, n))
@@ -130,14 +125,13 @@ def gmres_block(apply, b: np.ndarray, cfg: GmresConfig | None = None,
     reports: list[SolveReport] = []
     for start in range(0, m, width):
         cols = slice(start, start + width)
-        xb, reps = _gmres_batch(apply, b[:, cols].T, None if x0 is None else x0[:, cols].T,
-                                cfg, V, H)
+        xb, reps = _gmres_batch(apply, b[:, cols].T, cfg, V, H)
         x[:, cols] = xb.T
         reports += reps
     return x, reports
 
 
-def _gmres_batch(apply, b, x0, cfg, V, H):
+def _gmres_batch(apply, b, cfg, V, H):
     """Restarted GMRES on the rows of ``b`` (k, n) in lockstep; see gmres_block.
 
     Convergence is judged on the least-squares residual carried by each
@@ -151,13 +145,8 @@ def _gmres_batch(apply, b, x0, cfg, V, H):
     k = b.shape[0]
     b = np.ascontiguousarray(b)
     mv = np.zeros(k, dtype=np.int64)
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0)
-        r = b - apply(x.T).T
-        mv += 1
+    x = np.zeros_like(b)
+    r = b.copy()
     beta = np.linalg.norm(r, axis=1)
     history = [[float(v)] for v in beta]
     outer = np.zeros(k, dtype=np.int64)

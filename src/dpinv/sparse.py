@@ -1,9 +1,11 @@
 """Compressed sparse row matrices, digraphs, and the operations built on them.
 
-Storage is row-compressed only. Products run on a scipy CSR array that shares
-the same three arrays; products with the transpose use its transposed (CSC)
-view, which scatters over the same storage instead of materializing a second
-matrix. Matrices and graphs are treated as immutable after construction.
+Storage is row-compressed only, validated here and held in a scipy CSR array
+that shares the same three arrays. Assembly from coordinates, the
+canonical-order check, dense conversion, the diagonal and products all run on
+scipy.sparse; products with the transpose use its transposed (CSC) view, which
+scatters over the same storage instead of materializing a second matrix.
+Matrices and graphs are treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import coo_array, csc_array, csr_array
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import InputError
@@ -64,14 +66,10 @@ class SparseMatrix:
         if self.col_indices.size:
             if self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols:
                 raise ValueError("column index out of range")
-            # strictly increasing columns within each row also rules out duplicates
-            gaps = np.diff(self.col_indices)
-            same_row = np.ones(gaps.shape[0], dtype=bool)
-            starts = self.row_offsets[1:-1]
-            starts = starts[(starts > 0) & (starts < self.col_indices.size)]
-            same_row[starts - 1] = False
-            if np.any(gaps[same_row] <= 0):
-                raise ValueError("columns within a row must be strictly increasing")
+        # scipy's canonical format: strictly increasing columns within each
+        # row, which also rules out duplicates
+        if not self.csr.has_canonical_format:
+            raise ValueError("columns within a row must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("matrix values must be finite")
 
@@ -109,17 +107,8 @@ class SparseMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            keep = np.ones(rows.shape[0], dtype=bool)
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(keep) - 1
-            merged = np.bincount(group, weights=vals)
-            rows, cols = rows[keep], cols[keep]
-            vals = merged
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
-        return cls(n_rows, n_cols, offsets, cols, vals)
+        merged = coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+        return cls(n_rows, n_cols, merged.indptr, merged.indices, merged.data)
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
@@ -127,23 +116,18 @@ class SparseMatrix:
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, drop_tol: float = 0.0) -> "SparseMatrix":
+    def from_dense(cls, a: np.ndarray) -> "SparseMatrix":
         a = np.asarray(a, dtype=np.float64)
-        rows, cols = np.nonzero(np.abs(a) > drop_tol)
+        rows, cols = np.nonzero(np.abs(a) > 0.0)
         return cls.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self.entry_rows, self.col_indices] = self.values
-        return out
+        return self.csr.toarray()
 
     def diagonal(self) -> np.ndarray:
         if self.n_rows != self.n_cols:
             raise ValueError("diagonal requires a square matrix")
-        out = np.zeros(self.n_rows)
-        on_diag = self.entry_rows == self.col_indices
-        out[self.col_indices[on_diag]] = self.values[on_diag]
-        return out
+        return self.csr.diagonal()
 
 
 def _as_vector(x, n: int) -> np.ndarray:
@@ -180,20 +164,15 @@ def scale_rows_cols(m: SparseMatrix, left, right) -> SparseMatrix:
     if np.any(left <= 0) or np.any(right <= 0):
         raise ValueError("scale vectors must be strictly positive")
     vals = m.values * left[m.entry_rows] * right[m.col_indices]
-    return SparseMatrix(m.n_rows, m.n_cols, m.row_offsets.copy(),
-                        m.col_indices.copy(), vals)
+    return SparseMatrix(m.n_rows, m.n_cols, m.row_offsets, m.col_indices, vals)
 
 
 def row_sums(m: SparseMatrix) -> np.ndarray:
-    if m.nnz == 0:
-        return np.zeros(m.n_rows)
-    return np.bincount(m.entry_rows, weights=m.values, minlength=m.n_rows)
+    return m.csr @ np.ones(m.n_cols)
 
 
 def col_sums(m: SparseMatrix) -> np.ndarray:
-    if m.nnz == 0:
-        return np.zeros(m.n_cols)
-    return np.bincount(m.col_indices, weights=m.values, minlength=m.n_cols)
+    return m.csr_t @ np.ones(m.n_rows)
 
 
 @dataclass

@@ -32,6 +32,10 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("a solver ran before the arguments were checked")
+
+
 class TestGen:
     def test_stdout_tab_separated(self, capsys):
         code, out, _ = run(capsys, ["gen", "--n", "3"])
@@ -138,6 +142,17 @@ class TestPinv:
         assert code == 2
         assert "out of range" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--format", "raw"], "raw output needs --out"),
+        (["--cols", "0,99"], "column 99 out of range"),
+    ])
+    def test_rejected_before_solving(self, capsys, graph_file, monkeypatch,
+                                      extra, message):
+        monkeypatch.setattr(dpinv.cli, "stationary_distribution", _never_called)
+        code, _, err = run(capsys, ["pinv", str(graph_file)] + extra)
+        assert code == 2
+        assert message in err
+
     def test_report_counts(self, capsys, graph_file):
         code, _, err = run(capsys, ["pinv", str(graph_file), "--cols", "0,1",
                                     "--report"])
@@ -189,6 +204,20 @@ class TestGeneralPinv:
         assert code == 0
         assert "columns=2" in err
         assert "mv_total=" in err and "stationary_mv=" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--format", "raw"], "raw output needs --out"),
+        (["--cols", "0,9"], "column 9 out of range"),
+    ])
+    def test_rejected_before_solving(self, capsys, tmp_path, monkeypatch,
+                                      extra, message):
+        lap = tmp_path / "lap.txt"
+        lap.write_text("0 0 1\n0 1 -1\n1 0 -1\n1 1 2\n1 2 -1\n"
+                       "2 1 -1\n2 2 1\n")
+        monkeypatch.setattr(dpinv.cli, "general_pinv", _never_called)
+        code, _, err = run(capsys, ["general-pinv", "--laplacian", str(lap)] + extra)
+        assert code == 2
+        assert message in err
 
     def test_property_violation_is_input_error(self, capsys, tmp_path):
         lap = tmp_path / "bad.txt"

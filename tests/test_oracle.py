@@ -182,14 +182,31 @@ class TestMcWalk:
 
 
 class TestSymmetricPartExtremes:
-    def test_matches_lapack_on_random(self):
+    def test_matches_closed_form_on_random(self):
+        # A = Q B Qᵀ with B block diagonal: 2x2 blocks [[a, b], [-b, a]] and
+        # one 1x1 block d when n is odd. The symmetric part of each 2x2 block
+        # is a I and each block is a scaled rotation, so λ_min((A+Aᵀ)/2) is
+        # min(a..., d) and ‖A‖₂ is max(√(a²+b²)..., |d|).
         rng = np.random.default_rng(54)
         for n in (5, 20, 60):
-            a = rng.normal(size=(n, n))
-            lam_min, norm2 = symmetric_part_extremes(a)
-            s = 0.5 * (a + a.T)
-            assert abs(lam_min - np.linalg.eigvalsh(s).min()) < 1e-8
-            assert abs(norm2 - np.linalg.norm(a, 2)) < 1e-6 * max(1, norm2)
+            k = n // 2
+            a_diag = rng.normal(size=k)
+            b_off = rng.normal(size=k)
+            bmat = np.zeros((n, n))
+            for i in range(k):
+                bmat[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[a_diag[i], b_off[i]],
+                                                          [-b_off[i], a_diag[i]]]
+            lam_ref = a_diag.min()
+            norm_ref = np.hypot(a_diag, b_off).max()
+            if n % 2:
+                d = rng.normal()
+                bmat[-1, -1] = d
+                lam_ref = min(lam_ref, d)
+                norm_ref = max(norm_ref, abs(d))
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            lam_min, norm2 = symmetric_part_extremes(q @ bmat @ q.T)
+            assert abs(lam_min - lam_ref) < 1e-12 * max(1.0, abs(lam_ref))
+            assert abs(norm2 - norm_ref) < 1e-12 * norm_ref
 
     def test_diagonal_matrix(self):
         a = np.diag([3.0, -1.0, 2.0])

@@ -62,6 +62,24 @@ class TestSparseMatrix:
             SparseMatrix.from_coo(2, 2, np.array([0]), np.array([2]),
                                   np.ones(1))
 
+    @pytest.mark.parametrize("cols", [[1, 0, 1], [0, 0, 1]],
+                             ids=["unsorted", "duplicate"])
+    def test_validation_rejects_noncanonical_row(self, cols):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseMatrix(2, 2, np.array([0, 2, 3]), np.array(cols), np.ones(3))
+
+    def test_column_may_decrease_across_rows(self):
+        # row 0 ends at column 2, row 1 is empty, row 2 restarts at column 0
+        m = SparseMatrix(3, 3, np.array([0, 2, 2, 4]), np.array([1, 2, 0, 2]),
+                         np.arange(1.0, 5.0))
+        np.testing.assert_array_equal(
+            m.to_dense(), [[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]])
+
+    def test_all_zero_sums(self):
+        m = SparseMatrix.from_coo(3, 4, [], [], [])
+        np.testing.assert_array_equal(row_sums(m), np.zeros(3))
+        np.testing.assert_array_equal(col_sums(m), np.zeros(4))
+
 
 class TestMatvec:
     def test_matches_dense(self):
