@@ -6,11 +6,9 @@ from .errors import (DpinvError, GmresNonConvergenceError, InputError,
 from .graphgen import GenConfig, preferential_attachment_digraph, random_graph
 from .krylov import GmresConfig, SolveReport, gmres_block
 from .laplacian import (EulerianSystem, GeneralLaplacian, build_laplacian,
-                        check_eulerian, check_properties, embed_mmatrix,
+                        check_eulerian, check_properties,
                         eulerian_system, general_laplacian, general_pinv,
-                        pinv_apply, pinv_columns,
-                        pinv_from_reduced_general, pinv_rank1_general,
-                        reduced_from_pinv_general)
+                        pinv_apply, pinv_columns, pinv_rank1_general)
 from .metrics import (PinvBlock, augment_evaporating, commute_time,
                       hitting_time, influence_scores, kemeny_constant,
                       pass_probability, trust_score, visits, visits_matrix)
@@ -40,10 +38,9 @@ __all__ = [
     "stationary_residual",
     "build_laplacian", "check_eulerian", "EulerianSystem", "eulerian_system",
     "pinv_apply", "pinv_columns",
-    "pinv_rank1_general", "reduced_from_pinv_general",
-    "pinv_from_reduced_general",
+    "pinv_rank1_general",
     "GeneralLaplacian", "general_laplacian", "general_pinv",
-    "check_properties", "embed_mmatrix",
+    "check_properties",
     "PinvBlock", "hitting_time", "commute_time", "visits", "visits_matrix",
     "pass_probability", "kemeny_constant", "augment_evaporating",
     "influence_scores", "trust_score",

@@ -24,7 +24,7 @@ from .metrics import (PinvBlock, augment_evaporating, commute_time,
                       pass_probability, visits)
 from .oracle import (dense_pinv_reference, hitting_times_direct,
                      penrose_check, stationary_direct)
-from .sparse import (Digraph, build_transition, matvec,
+from .sparse import (Digraph, SparseMatrix, build_transition, matvec,
                      strong_connectivity_certificate)
 from .stationary import SubspaceConfig, stationary_distribution
 
@@ -56,12 +56,16 @@ def _gen_n(text: str) -> int:
     return value
 
 
-def _require_sc(g: Digraph) -> None:
-    cert = strong_connectivity_certificate(g)
+def _require_sc(g: Digraph) -> SparseMatrix:
+    """Reject a graph that is not strongly connected; returns its adjacency,
+    built once for both this check and build_transition."""
+    a = g.adjacency()
+    cert = strong_connectivity_certificate(g, a)
     if cert is not None:
         raise InputError(
             f"graph is not strongly connected: no path from node {cert[0]} "
             f"to node {cert[1]}")
+    return a
 
 
 def _parse_cols(spec: str, n: int) -> list[int]:
@@ -122,8 +126,7 @@ def cmd_gen(args) -> int:
 
 def cmd_stationary(args) -> int:
     g = dio.load_graph(args.graph)
-    _require_sc(g)
-    p, _ = build_transition(g)
+    p, _ = build_transition(g, _require_sc(g))
     result = stationary_distribution(p, _sub_cfg(args))
     if args.report:
         print(f"iterations={result.iterations} mv={result.mv_count} "
@@ -141,8 +144,7 @@ def cmd_pinv(args) -> int:
     _require_raw_out(args)
     g = dio.load_graph(args.graph)
     cols = _parse_cols(args.cols, g.n)
-    _require_sc(g)
-    p, _ = build_transition(g)
+    p, _ = build_transition(g, _require_sc(g))
     # pi is driven tighter than the column tolerance: d-kind column accuracy
     # degrades with the stationary residual amplified by 1/sqrt(min pi)
     stat = stationary_distribution(p, _sub_cfg(args, tol_cap=1e-10))
@@ -198,7 +200,7 @@ def cmd_metrics(args) -> int:
     g = dio.load_graph(args.graph)
     if args.gamma is not None:
         g = augment_evaporating(g, args.gamma)
-    _require_sc(g)
+    adjacency = _require_sc(g)
     n = g.n
     pairs = _parse_tuples(args.pairs, 2) if args.pairs else []
     triples = _parse_tuples(args.triples, 3) if args.triples else []
@@ -209,7 +211,7 @@ def cmd_metrics(args) -> int:
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise InputError(f"triple {i}:{j}:{k} out of range for n={n}")
     want_influence = args.gamma is not None
-    p, _ = build_transition(g)
+    p, _ = build_transition(g, adjacency)
     stat = stationary_distribution(p, _sub_cfg(args))
     sys_ = eulerian_system(p, stat.pi, "d")
     if want_influence or args.kemeny:
@@ -284,10 +286,10 @@ def _verify_graph(g: Digraph, tol: float, label: str) -> bool:
         print(f"{status} {label} {name} {detail}")
         ok = ok and passed
 
-    _require_sc(g)
+    adjacency = _require_sc(g)
     if g.n > 300:
         raise InputError("verification battery is limited to n <= 300")
-    p, _ = build_transition(g)
+    p, _ = build_transition(g, adjacency)
     stat = stationary_distribution(p, SubspaceConfig(tol=1e-12))
     pi_ref = stationary_direct(p)
     err = float(np.abs(stat.pi - pi_ref).max())
@@ -310,7 +312,7 @@ def _verify_graph(g: Digraph, tol: float, label: str) -> bool:
 
 def _verify_columns(args) -> bool:
     g = dio.load_graph(args.graph)
-    _require_sc(g)
+    adjacency = _require_sc(g)
     if args.columns.endswith(".raw"):
         block = dio.read_columns_raw(args.columns)
     else:
@@ -320,7 +322,7 @@ def _verify_columns(args) -> bool:
         raise InputError(
             f"column block is {block.shape[0]}x{block.shape[1]}, expected "
             f"{g.n}x{len(cols)}; pass the matching --cols list")
-    p, _ = build_transition(g)
+    p, _ = build_transition(g, adjacency)
     stat = stationary_distribution(p, SubspaceConfig(tol=1e-12))
     sys_ = eulerian_system(p, stat.pi, args.kind)
     scale = max(float(np.abs(block).max()), 1.0)

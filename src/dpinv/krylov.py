@@ -1,13 +1,22 @@
 """Restarted GMRES for the shifted Laplacian systems, many right-hand sides at once.
 
-Columns are solved in lockstep batches. Each Arnoldi step makes one block
-product over the batch's live columns and orthogonalizes by two classical
-Gram-Schmidt passes as stacked matmuls on a (k, restart + 1, n) basis; each
-cycle ends in one least-squares solve over the stack of Hessenbergs (one
-LAPACK QR, then one stacked solve with the triangular factors). Every column
-keeps its own convergence state, and its residual is carried between cycles
-through the Krylov basis, so a column costs exactly as many matrix products
-as it takes inner steps plus its true-residual re-checks, whatever its batch.
+Each solve is right preconditioned by a polynomial: GMRES runs on A p(A)
+and returns x = p(A) y. p(z) = c₀ + c₁z is fitted once per call, in 2
+products, so that 1 − z p(z) is the degree-2 GMRES residual polynomial of a
+fixed seeded vector. An Arnoldi step costs 2 products, and m steps build a
+residual polynomial of degree 2m in A on an m-vector basis, so fewer steps,
+and less orthogonalization, reach the same tolerance.
+
+Columns are solved in lockstep batches. Each Arnoldi step applies A p(A) to
+the batch's live columns as a block and orthogonalizes by two classical
+Gram-Schmidt passes as stacked matmuls on a (k, restart + 1, n) basis; a
+column stops inside the cycle once its least-squares residual estimate falls
+below tol. Each cycle ends in one least-squares solve over the stack of
+Hessenbergs (one LAPACK QR, then one stacked solve with the triangular
+factors). Every column keeps its own convergence state, and its residual is
+carried between cycles through the Krylov basis, so a column costs exactly 2
+products per Arnoldi step plus 2 per true-residual re-check, whatever its
+batch.
 
 The operator is a callable ``apply`` that maps an (n, k) block to its image;
 the solvers count one product per column they apply it to.
@@ -26,6 +35,10 @@ from .errors import GmresNonConvergenceError, NumericalError
 BREAKDOWN_TOL = 1e-14
 # Bytes one batch's Krylov basis may take; sets how many columns run in lockstep.
 _BASIS_BYTES = 1 << 20
+# Seed of the unit vector the preconditioning polynomial is fitted on.
+_POLY_SEED = 0
+# Products that fit the polynomial, per gmres_block call.
+POLY_SETUP_MV = 2
 
 
 @dataclass
@@ -45,6 +58,15 @@ class GmresConfig:
 
 @dataclass
 class SolveReport:
+    """One column's solve.
+
+    ``mv_count`` is 2 products per inner (Arnoldi) step plus 2 per
+    true-residual re-check, including the one made at the restart-cycle cap.
+    The first report of each :func:`gmres_block` call also carries the
+    call's 2 polynomial setup products, so the reports of a call sum to every
+    product it made.
+    """
+
     outer_iterations: int
     inner_iterations_total: int
     mv_count: int
@@ -61,24 +83,36 @@ def batch_width(n: int, restart: int) -> int:
     return max(1, _BASIS_BYTES // (8 * (restart + 1) * n))
 
 
-def arnoldi_block(apply, V: np.ndarray, H: np.ndarray):
+def arnoldi_block(apply, V: np.ndarray, H: np.ndarray, beta=None, tol: float = 0.0):
     """Arnoldi on a stack of start vectors: A V_c = V_c H_c for each column c.
 
     ``V`` is (k, ell + 1, n) with a unit start vector in each ``V[c, 0]``;
     ``H`` is a zeroed (k, ell + 1, ell) stack that receives the Hessenbergs.
-    Each step makes one block product over the live columns and runs two
-    classical Gram-Schmidt passes as stacked matmuls on views of ``V``. A
-    column whose next vector has norm at most ``BREAKDOWN_TOL`` freezes with
-    a zero subdiagonal entry and takes no further product. Returns the
-    per-column step counts (one product per step) and the breakdown mask.
+    Each step makes one block application of ``apply`` over the live columns
+    and runs two classical Gram-Schmidt passes as stacked matmuls on views of
+    ``V``. A column whose next vector has norm at most ``BREAKDOWN_TOL``
+    freezes with a zero subdiagonal entry. Given the residual norms ``beta``
+    of the start vectors, a column also stops once its least-squares
+    residual estimate β/‖u‖ falls below ``tol``, where u is the left null
+    vector of its leading Hessenberg with u₀ = 1; that stop is not a
+    breakdown. A frozen column takes no further product. Returns the
+    per-column step counts and the breakdown mask.
     """
     k, ell = H.shape[0], H.shape[2]
     steps = np.full(k, ell)
     live = np.ones(k, dtype=bool)
+    broken = np.zeros(k, dtype=bool)
+    if beta is not None:
+        u = np.zeros((k, ell + 1))
+        u[:, 0] = 1.0
+        unorm2 = np.ones(k)
+        # β/‖u‖ < tol once ‖u‖² exceeds (β/tol)²
+        limit = (np.asarray(beta, dtype=np.float64) / tol) ** 2
     for j in range(ell):
         if live.all():
             w = np.ascontiguousarray(apply(V[:, j].T).T)
         else:
+            # frozen columns orthogonalize a zero vector, which adds nothing
             w = np.zeros((k, V.shape[2]))
             w[live] = apply(V[live, j].T).T
         basis = V[:, :j + 1]
@@ -89,12 +123,48 @@ def arnoldi_block(apply, V: np.ndarray, H: np.ndarray):
         hnext = np.linalg.norm(w, axis=1)
         broke = live & (hnext <= BREAKDOWN_TOL)
         steps[broke] = j + 1
+        broken |= broke
         live &= ~broke
         if not live.any():
             break
         H[live, j + 1, j] = hnext[live]
         V[live, j + 1] = w[live] / hnext[live, None]
-    return steps, ~live
+        if beta is None:
+            continue
+        # uᵀ H̄ = 0 fixes the next entry of u from column j of H
+        c = np.flatnonzero(live)
+        u[c, j + 1] = -np.einsum("ci,ci->c", u[c, :j + 1], H[c, :j + 1, j]) / hnext[c]
+        unorm2[c] += u[c, j + 1] ** 2
+        done = live & (unorm2 > limit)
+        steps[done] = j + 1
+        live &= ~done
+        if not live.any():
+            break
+    return steps, broken
+
+
+def gmres_poly(apply, n: int) -> tuple[float, float]:
+    """(c₀, c₁) of the preconditioning polynomial p(z) = c₀ + c₁z.
+
+    They minimize ‖v − c₀Av − c₁A²v‖₂ for a fixed seeded unit vector v, so
+    1 − z p(z) is the degree-2 GMRES residual polynomial of v. Makes 2
+    products.
+    """
+    v = np.random.default_rng(_POLY_SEED).standard_normal(n)
+    v /= np.linalg.norm(v)
+    av = apply(v[:, None])
+    krylov = np.hstack([av, apply(av)])
+    if not np.all(np.isfinite(krylov)):
+        raise NumericalError("GMRES polynomial fit met non-finite products")
+    c, _, rank, _ = np.linalg.lstsq(krylov, v, rcond=None)
+    if rank < 2:
+        # v's Krylov space closes after one step: fit the exact degree-0 p
+        av2 = float(av[:, 0] @ av[:, 0])
+        c = np.array([float(av[:, 0] @ v) / av2 if av2 > 0 else 0.0, 0.0])
+    if not np.any(c):
+        # p = 0 would annihilate every direction; fall back to plain GMRES
+        c = np.array([1.0, 0.0])
+    return float(c[0]), float(c[1])
 
 
 def gmres_block(apply, b: np.ndarray,
@@ -102,14 +172,16 @@ def gmres_block(apply, b: np.ndarray,
     """Solve A X = B column by column by restarted GMRES, in lockstep batches.
 
     ``apply`` maps an (n, k) block to A times it; ``b`` is (n, m) and the
-    initial guess is zero. Columns run in batches of :func:`batch_width`;
-    within a batch each Arnoldi step is one block product and each column
-    keeps its own convergence state, products and report. Results agree
-    across batch widths to rounding, not bit for bit: batched sums run in
-    another order. ``SolveReport.wall_time`` is the wall time of the column's
-    batch. Raises :class:`GmresNonConvergenceError` with the report of the
-    first failing column, whose last history entry is its true residual, and
-    :class:`NumericalError` when an iterate turns non-finite.
+    initial guess is zero. The polynomial p of :func:`gmres_poly` is fitted
+    once and GMRES runs on A p(A). Columns run in batches of
+    :func:`batch_width`; within a batch each Arnoldi step is two block
+    products and each column keeps its own convergence state, products and
+    report. Results agree across batch widths to rounding, not bit for bit:
+    batched sums run in another order. ``SolveReport.wall_time`` is the wall
+    time of the column's batch. Raises :class:`GmresNonConvergenceError`
+    with the report of the first failing column, whose last history entry is
+    its true residual, and :class:`NumericalError` when an iterate turns
+    non-finite.
     """
     if cfg is None:
         cfg = GmresConfig()
@@ -123,28 +195,46 @@ def gmres_block(apply, b: np.ndarray,
     H = np.empty((min(width, m), cfg.restart + 1, cfg.restart))
     x = np.empty((n, m))
     reports: list[SolveReport] = []
+    if m == 0:
+        # no report to charge the polynomial's setup products to
+        return x, reports
+    poly = gmres_poly(apply, n)
     for start in range(0, m, width):
         cols = slice(start, start + width)
-        xb, reps = _gmres_batch(apply, b[:, cols].T, cfg, V, H)
+        setup = POLY_SETUP_MV if start == 0 else 0
+        xb, reps = _gmres_batch(apply, poly, b[:, cols].T, cfg, V, H, setup)
         x[:, cols] = xb.T
         reports += reps
     return x, reports
 
 
-def _gmres_batch(apply, b, cfg, V, H):
+def _gmres_batch(apply, poly, b, cfg, V, H, setup_mv):
     """Restarted GMRES on the rows of ``b`` (k, n) in lockstep; see gmres_block.
 
-    Convergence is judged on the least-squares residual carried by each
-    Hessenberg recurrence; columns below tol get their true residual
-    re-checked in one block product, and those that pass leave the batch.
-    A failed re-check restarts the column from its true residual and records
-    that residual; two failed re-checks in a row without halving it end the
-    solve, since the tolerance then lies below the reachable floor.
+    Arnoldi runs on A p(A) and accumulates y; convergence is judged on the
+    least-squares residual carried by each Hessenberg recurrence. Columns
+    below tol form x = p(A) y and get b − A x re-checked, 2 products each,
+    and those that pass leave the batch with that x. A failed re-check
+    restarts the column from its true residual and records that residual;
+    two failed re-checks in a row without halving it end the solve, since
+    the tolerance then lies below the reachable floor. The first column is
+    charged ``setup_mv`` products.
     """
     t0 = time.perf_counter()
+    c0, c1 = poly
     k = b.shape[0]
     b = np.ascontiguousarray(b)
+
+    def precond(z):
+        return apply(c0 * z + c1 * apply(z))
+
+    def solution(rows):
+        # x = p(A) y for (k, n) rows of y
+        return c0 * rows + c1 * apply(rows.T).T
+
     mv = np.zeros(k, dtype=np.int64)
+    mv[0] = setup_mv
+    y_acc = np.zeros_like(b)
     x = np.zeros_like(b)
     r = b.copy()
     beta = np.linalg.norm(r, axis=1)
@@ -165,8 +255,9 @@ def _gmres_batch(apply, b, cfg, V, H):
         if cycle == cfg.max_outer:
             # quote the true residual: the last cycle may have made no re-check
             c = int(act[0])
-            history[c][-1] = float(np.linalg.norm(b[c] - apply(x[c][:, None])[:, 0]))
-            mv[c] += 1
+            xc = solution(y_acc[c][None])
+            history[c][-1] = float(np.linalg.norm(b[c] - apply(xc.T)[:, 0]))
+            mv[c] += 2
             raise GmresNonConvergenceError(
                 f"no convergence in {cfg.max_outer} restart cycles "
                 f"(residual {history[c][-1]:.3e}, tol {cfg.tol:.1e})", report(c))
@@ -174,17 +265,17 @@ def _gmres_batch(apply, b, cfg, V, H):
         Vb, Hb = V[:act.size], H[:act.size]
         Hb.fill(0.0)
         Vb[:, 0] = r[act] / beta[act, None]
-        steps, broke = arnoldi_block(apply, Vb, Hb)
+        steps, broke = arnoldi_block(precond, Vb, Hb, beta[act], cfg.tol)
         outer[act] += 1
         inner[act] += steps
-        mv[act] += steps
-        y, rnorm = hessenberg_lsq(Hb, beta[act], steps)
-        # y is zero past each column's steps, so stale basis rows add nothing
-        x[act] += np.matmul(y[:, None, :], Vb[:, :-1])[:, 0]
-        coeffs = -np.matmul(Hb, y[:, :, None])[:, :, 0]
+        mv[act] += 2 * steps
+        yb, rnorm = hessenberg_lsq(Hb, beta[act], steps)
+        # yb is zero past each column's steps, so stale basis rows add nothing
+        y_acc[act] += np.matmul(yb[:, None, :], Vb[:, :-1])[:, 0]
+        coeffs = -np.matmul(Hb, yb[:, :, None])[:, :, 0]
         coeffs[:, 0] += beta[act]
         r_carried = np.matmul(coeffs[:, None, :], Vb)[:, 0]
-        if not np.all(np.isfinite(rnorm)) or not np.all(np.isfinite(x[act])):
+        if not np.all(np.isfinite(rnorm)) or not np.all(np.isfinite(y_acc[act])):
             raise NumericalError("GMRES iterate diverged (non-finite values)")
         for c, v in zip(act, rnorm):
             history[c].append(float(v))
@@ -201,8 +292,9 @@ def _gmres_batch(apply, b, cfg, V, H):
         chk = act[check]
         if chk.size == 0:
             continue
+        x[chk] = solution(y_acc[chk])
         r_true = b[chk] - apply(x[chk].T).T
-        mv[chk] += 1
+        mv[chk] += 2
         true_norm = np.linalg.norm(r_true, axis=1)
         for c, v in zip(chk, true_norm):
             history[c][-1] = float(v)
@@ -221,4 +313,3 @@ def _gmres_batch(apply, b, cfg, V, H):
         last_miss[miss] = true_norm[~ok]
     wall = time.perf_counter() - t0
     return x, [report(c, wall) for c in range(k)]
-

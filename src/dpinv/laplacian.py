@@ -21,15 +21,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .krylov import GmresConfig, SolveReport, batch_width, gmres_block
-from .sparse import (Digraph, SparseMatrix, col_sums, matvec,
-                     matvec_transpose, row_sums, scale_rows_cols,
-                     strong_connectivity_certificate)
+from .krylov import GmresConfig, SolveReport, gmres_block
+from .sparse import (Digraph, SparseMatrix, matvec, matvec_transpose,
+                     row_sums, scale_rows_cols, strong_connectivity_certificate)
 from .stationary import StationaryResult, SubspaceConfig, stationary_distribution
 
 EULERIAN_KINDS = ("r", "d")
 ALL_KINDS = ("r", "a", "p", "d")
 NULL_TOL = 1e-8
+# Bytes of unit right-hand sides pinv_columns hands to one solve call: about
+# two lockstep batches at the default restart, so the polynomial fit (2
+# products per call) stays small while the chunk's right-hand sides,
+# iterates and temporaries add little to peak memory.
+_RHS_BYTES = 1 << 16
 
 
 def _diag_minus(diag: np.ndarray, m: SparseMatrix) -> SparseMatrix:
@@ -155,20 +159,21 @@ def pinv_apply(sys: EulerianSystem, z: np.ndarray,
 
 def pinv_columns(sys: EulerianSystem, indices,
                  cfg: GmresConfig | None = None) -> tuple[np.ndarray, list[SolveReport]]:
-    """A block of pseudo-inverse columns, solved in lockstep batches.
+    """A block of pseudo-inverse columns, solved a bounded chunk at a time.
 
-    All indices are checked before any solve starts. Returns the columns in
-    the order given, with one report per column.
+    Each chunk is one :func:`pinv_apply` call, which runs it in lockstep
+    batches. All indices are checked before any solve starts. Returns the
+    columns in the order given, with one report per column.
     """
     idx = [int(j) for j in indices]
     n = sys.l.n_rows
     for j in idx:
         if not 0 <= j < n:
             raise ValueError(f"column index {j} out of range for n={n}")
-    width = batch_width(n, (cfg or GmresConfig()).restart)
+    width = max(1, _RHS_BYTES // (8 * n))
     block = np.empty((n, len(idx)))
     reports: list[SolveReport] = []
-    # one batch at a time, so that only the output block is full size
+    # a bounded chunk at a time, so that only the output block is full size
     for start in range(0, len(idx), width):
         part = idx[start:start + width]
         e = np.zeros((n, len(part)))
@@ -179,20 +184,7 @@ def pinv_columns(sys: EulerianSystem, indices,
 
 
 # ---------------------------------------------------------------------------
-# The pseudo-inverse from a {1}-inverse, and the maps between a pseudo-inverse
-# and the leading-block inverse.
-
-
-def _split(b: np.ndarray):
-    n = b.shape[0]
-    return b[:n - 1, :n - 1], b[:n - 1, n - 1], b[n - 1, :n - 1], b[n - 1, n - 1]
-
-
-def _check_null_pair(u: np.ndarray, v: np.ndarray) -> None:
-    if u[-1] <= 0 or v[-1] <= 0:
-        raise ValueError("null vectors must have positive last entries")
-    if abs(float(v @ u) - 1.0) > 1e-6:
-        raise ValueError("null vectors must be normalized so that vᵀu = 1")
+# The pseudo-inverse from a {1}-inverse.
 
 
 def pinv_rank1_general(solve_c, u: np.ndarray, v: np.ndarray,
@@ -203,7 +195,8 @@ def pinv_rank1_general(solve_c, u: np.ndarray, v: np.ndarray,
     ``solve_c(Z) -> G Z`` for any G with A G A = A, each pseudo-inverse
     column is the projection (I - u uᵀ/uᵀu) G (I - v vᵀ/vᵀv) e_j, since
     A⁺ = A⁺ A G A A⁺. The inverse of a rank-one shift C = A + alpha u vᵀ is
-    one such G. ``solve_c`` is called once, on a block [v | e_j...] that it
+    one such G, and so is the inverse of a nonsingular leading block padded
+    with zeros. ``solve_c`` is called once, on a block [v | e_j...] that it
     may overwrite.
     """
     u = np.asarray(u, dtype=np.float64)
@@ -225,56 +218,8 @@ def pinv_rank1_general(solve_c, u: np.ndarray, v: np.ndarray,
     return np.ascontiguousarray(q)
 
 
-def reduced_from_pinv_general(b: np.ndarray, u: np.ndarray,
-                              v: np.ndarray) -> np.ndarray:
-    """Leading-block inverse from the pseudo-inverse.
-
-    u and v are the right and left null vectors, paired so that vᵀu = 1,
-    with positive last entries; a symmetric null space takes v = u.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] != u.shape[0]:
-        raise ValueError("pseudo-inverse and null vector sizes disagree")
-    _check_null_pair(u, v)
-    b11, b12, b21, bnn = _split(b)
-    u1, un = u[:-1], u[-1]
-    v1, vn = v[:-1], v[-1]
-    return (b11 - np.outer(u1, b21) / un - np.outer(b12, v1) / vn
-            + (bnn / (un * vn)) * np.outer(u1, v1))
-
-
-def pinv_from_reduced_general(a11_inv: np.ndarray, u: np.ndarray,
-                              v: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse from the leading-block inverse; u, v as above."""
-    a11_inv = np.asarray(a11_inv, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    n = u.shape[0]
-    if v.shape != (n,):
-        raise ValueError("null vectors must have equal length")
-    if a11_inv.shape != (n - 1, n - 1):
-        raise ValueError("leading-block inverse must be (n-1) x (n-1)")
-    _check_null_pair(u, v)
-    utu = float(u @ u)
-    vtv = float(v @ v)
-    u1, un = u[:-1], u[-1]
-    v1, vn = v[:-1], v[-1]
-    w = (a11_inv @ v1) / vtv
-    t = (a11_inv.T @ u1) / utu
-    s = float(u1 @ w) / utu
-    b = np.empty((n, n))
-    b[:n - 1, :n - 1] = (a11_inv - np.outer(u1, t) - np.outer(w, v1)
-                         + s * np.outer(u1, v1))
-    b[:n - 1, n - 1] = vn * s * u1 - vn * w
-    b[n - 1, :n - 1] = un * s * v1 - un * t
-    b[n - 1, n - 1] = un * vn * s
-    return b
-
-
 # ---------------------------------------------------------------------------
-# General Laplacian-like matrices: properties, embedding, and the full
+# General Laplacian-like matrices: properties and the full
 # change-of-variables pipeline.
 
 
@@ -292,13 +237,12 @@ class PropertyReport:
 
 
 def check_properties(l: SparseMatrix, x: np.ndarray | None = None,
-                     reduced: bool = False, tol: float = NULL_TOL) -> PropertyReport:
+                     tol: float = NULL_TOL) -> PropertyReport:
     """Check the structural requirements for the general pipeline.
 
     * irreducibility of the off-diagonal support,
     * strictly positive diagonal with nonpositive off-diagonal entries,
-    * with ``x``: L x = 0 for strictly positive x, or in ``reduced`` mode
-      L x > 0 strictly (the nonsingular leading-block variant).
+    * with ``x``: L x = 0 for strictly positive x.
     """
     if l.n_rows != l.n_cols:
         raise ValueError("expected a square matrix")
@@ -339,25 +283,16 @@ def check_properties(l: SparseMatrix, x: np.ndarray | None = None,
             raise ValueError("x must have one entry per node")
         if np.any(x <= 0):
             null_vector = False
-            which = "(Pc')" if reduced else "(Pc)"
-            messages.append(f"{which} x must be strictly positive")
+            messages.append("(Pc) x must be strictly positive")
         else:
-            lx = matvec(l, x)
-            if reduced:
-                null_vector = bool(lx.min() > 0)
-                if not null_vector:
-                    messages.append(
-                        f"(Pc') L x must be strictly positive; entry "
-                        f"{int(np.argmin(lx))} is {lx.min():.3e}")
-            else:
-                scale = max(float(np.abs(l.values).max()) if l.nnz else 0.0, 1e-300)
-                scale *= max(float(np.abs(x).max()), 1e-300)
-                defect = float(np.abs(lx).max())
-                null_vector = defect <= tol * scale
-                if not null_vector:
-                    messages.append(
-                        f"(Pc) ‖L x‖∞ = {defect:.3e} exceeds {tol:.1e} "
-                        "relative to the matrix scale")
+            scale = max(float(np.abs(l.values).max()) if l.nnz else 0.0, 1e-300)
+            scale *= max(float(np.abs(x).max()), 1e-300)
+            defect = float(np.abs(matvec(l, x)).max())
+            null_vector = defect <= tol * scale
+            if not null_vector:
+                messages.append(
+                    f"(Pc) ‖L x‖∞ = {defect:.3e} exceeds {tol:.1e} "
+                    "relative to the matrix scale")
     return PropertyReport(irreducible, sign_pattern, null_vector, messages)
 
 
@@ -376,34 +311,6 @@ def general_laplacian(l: SparseMatrix, x: np.ndarray) -> GeneralLaplacian:
     if not rep.ok:
         raise InputError("; ".join(rep.messages))
     return GeneralLaplacian(l, x)
-
-
-def embed_mmatrix(l11: SparseMatrix, w: np.ndarray) -> GeneralLaplacian:
-    """Border a nonsingular M-matrix into a singular pipeline-ready matrix.
-
-    Given L₁₁ with irreducible support, M-matrix sign pattern, and a strictly
-    positive w with L₁₁ w > 0 strictly, returns the (n+1)-sized bordered
-    matrix whose leading-block inverse is L₁₁⁻¹. The border uses the
-    concatenated null vectors u = (w, 1) on the right and all-ones on the
-    left; its last column is -L₁₁w and its last row holds the negated column
-    sums.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    rep = check_properties(l11, w, reduced=True)
-    if not rep.ok:
-        raise InputError("; ".join(rep.messages))
-    n1 = l11.n_rows
-    lw = matvec(l11, w)
-    csums = col_sums(l11)
-    rows = [l11.entry_rows, np.arange(n1, dtype=np.int64),
-            np.full(n1, n1, dtype=np.int64), np.array([n1])]
-    cols = [l11.col_indices, np.full(n1, n1, dtype=np.int64),
-            np.arange(n1, dtype=np.int64), np.array([n1])]
-    vals = [l11.values, -lw, -csums, np.array([lw.sum()])]
-    bordered = SparseMatrix.from_coo(
-        n1 + 1, n1 + 1, np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(vals))
-    return general_laplacian(bordered, np.concatenate([w, [1.0]]))
 
 
 @dataclass

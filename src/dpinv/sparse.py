@@ -210,13 +210,16 @@ class Digraph:
         return SparseMatrix.from_coo(self.n, self.n, self.src, self.dst, self.weight)
 
 
-def strong_connectivity_certificate(g: Digraph) -> tuple[int, int] | None:
+def strong_connectivity_certificate(g: Digraph, a: SparseMatrix | None = None
+                                    ) -> tuple[int, int] | None:
     """None when strongly connected, else a pair (i, j) with no i -> j path.
 
     The pair is (0, j) for the first node j not reachable from node 0, else
-    (i, 0) for the first node i that cannot reach node 0.
+    (i, 0) for the first node i that cannot reach node 0. ``a`` is g's
+    adjacency when the caller has already built it.
     """
-    a = g.adjacency()
+    if a is None:
+        a = g.adjacency()
     for adj, forward in ((a.csr, True), (a.csr_t, False)):
         seen = np.zeros(g.n, dtype=bool)
         seen[breadth_first_order(adj, 0, return_predecessors=False)] = True
@@ -230,9 +233,14 @@ def is_strongly_connected(g: Digraph) -> bool:
     return strong_connectivity_certificate(g) is None
 
 
-def build_transition(g: Digraph) -> tuple[SparseMatrix, np.ndarray]:
-    """Row-stochastic transition matrix P = D⁻¹A and the out-degree vector d."""
-    a = g.adjacency()
+def build_transition(g: Digraph, a: SparseMatrix | None = None
+                     ) -> tuple[SparseMatrix, np.ndarray]:
+    """Row-stochastic transition matrix P = D⁻¹A and the out-degree vector d.
+
+    ``a`` is g's adjacency when the caller has already built it.
+    """
+    if a is None:
+        a = g.adjacency()
     d = row_sums(a)
     dead = np.nonzero(d <= 0)[0]
     if dead.size:

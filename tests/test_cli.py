@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dpinv.cli
+import dpinv.sparse
 import dpinv.stationary
 from dpinv.cli import main
 from dpinv.io import read_columns_csv, read_columns_raw, read_edge_list, read_vector
@@ -54,6 +55,25 @@ class TestGen:
         code, _, err = run(capsys, ["gen", "--n", "2"])
         assert code == 1
         assert "at least 3" in err
+
+
+class TestAdjacencyOnce:
+    @pytest.mark.parametrize("argv", [["stationary"], ["pinv", "--cols", "0,5"],
+                                      ["metrics", "--pairs", "0:5"]],
+                             ids=["stationary", "pinv", "metrics"])
+    def test_one_adjacency_per_job(self, capsys, graph_file, monkeypatch, argv):
+        # the connectivity check and the transition matrix share one build
+        calls = []
+        inner = dpinv.sparse.Digraph.adjacency
+
+        def counting(g):
+            calls.append(g.n)
+            return inner(g)
+
+        monkeypatch.setattr(dpinv.sparse.Digraph, "adjacency", counting)
+        code, _, _ = run(capsys, [argv[0], str(graph_file), *argv[1:]])
+        assert code == 0
+        assert calls == [30]
 
 
 class TestStationary:

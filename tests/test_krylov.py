@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from dpinv.dense import hessenberg_lsq
 from dpinv.errors import GmresNonConvergenceError
-from dpinv.krylov import GmresConfig, arnoldi_block, gmres_block
-from dpinv.sparse import MvCounter, SparseMatrix, matvec, matvec_transpose
+from dpinv.graphgen import random_graph
+from dpinv.krylov import POLY_SETUP_MV, GmresConfig, arnoldi_block, gmres_block
+from dpinv.laplacian import eulerian_system, pinv_columns
+from dpinv.sparse import (MvCounter, SparseMatrix, build_transition, matvec,
+                          matvec_transpose)
+from dpinv.stationary import SubspaceConfig, stationary_distribution
 
 
 def dense_operator(a, counter=None):
@@ -148,12 +153,14 @@ class TestGmres:
         assert rep.final_residual < 1e-11
 
     def test_mv_count_inner_plus_one(self):
-        # from the zero start the only products are one per inner step plus
-        # the final acceptance check of the true residual
+        # from the zero start the only products are the polynomial's setup,
+        # two per inner step, and two for the final acceptance check of the
+        # true residual
         op, a = random_spd_operator(25, 14)
         b = np.random.default_rng(15).normal(size=25)
         x, rep = gmres_one(op, b, cfg=GmresConfig(restart=7, tol=1e-10))
-        assert rep.mv_count == rep.inner_iterations_total + 1
+        assert rep.mv_count == 2 * rep.inner_iterations_total + 2 + POLY_SETUP_MV
+        assert rep.mv_count == op.counter.count
 
     def test_history_starts_at_rhs_norm(self):
         op, _ = random_spd_operator(10, 16)
@@ -176,14 +183,16 @@ class TestGmres:
         op, _ = random_spd_operator(8, 20)
         x, rep = gmres_one(op, np.zeros(8), cfg=GmresConfig(tol=1e-12))
         np.testing.assert_allclose(x, 0.0)
-        assert rep.mv_count == 0 and rep.outer_iterations == 0
+        # only the polynomial's setup, charged to the call's first report
+        assert rep.mv_count == POLY_SETUP_MV == op.counter.count
+        assert rep.outer_iterations == 0
 
     def test_nonconvergence_carries_report(self):
         # an orthogonal rotation-heavy matrix with restart=1 stalls: each
         # 1-dimensional Krylov correction is orthogonal to the residual. No
         # cycle reaches tol, so none re-checks its residual; the cap must
-        # quote the true residual of the final iterate, made by one more
-        # counted product
+        # quote the true residual of the final iterate, made by two more
+        # counted products: A y for x = p(A) y, then A x
         n = 6
         perm = np.roll(np.eye(n), 1, axis=0)
         b = np.zeros(n)
@@ -204,7 +213,8 @@ class TestGmres:
         true = float(np.linalg.norm(b - perm @ operands[-1][:, 0]))
         assert rep.residual_history[-1] == true
         assert f"residual {true:.3e}" in str(exc.value)
-        assert rep.mv_count == rep.inner_iterations_total + 1 == dense.counter.count
+        assert rep.mv_count == 2 * rep.inner_iterations_total + 2 + POLY_SETUP_MV
+        assert rep.mv_count == dense.counter.count
         assert len(rep.residual_history) == rep.outer_iterations + 1
 
     def test_restart_one_still_converges_on_spd(self):
@@ -241,7 +251,9 @@ class TestGmresBlock:
         for c in range(5):
             xc, rc = gmres_one(dense_operator(a), b[:, c], cfg=cfg)
             np.testing.assert_allclose(x[:, c], xc, atol=1e-11)
-            assert reps[c].mv_count == rc.mv_count
+            # each call charges its polynomial setup to its first report
+            setup = POLY_SETUP_MV if c == 0 else 0
+            assert reps[c].mv_count - setup == rc.mv_count - POLY_SETUP_MV
             assert reps[c].outer_iterations == rc.outer_iterations
         assert op.counter.count == sum(r.mv_count for r in reps)
 
@@ -258,7 +270,7 @@ class TestGmresBlock:
         x, reps = gmres_block(op, b, GmresConfig(restart=8, tol=1e-10))
         assert np.max(np.linalg.norm(b - a @ x, axis=0)) < 1e-10
         assert reps[2].inner_iterations_total == 1
-        assert reps[2].mv_count == 2
+        assert reps[2].mv_count == 2 * 1 + 2
         assert all(r.final_residual < 1e-10 for r in reps)
         assert all(r.inner_iterations_total > 1 for c, r in enumerate(reps) if c != 2)
 
@@ -297,10 +309,89 @@ class TestGmresBlock:
             gmres_block(op, b, GmresConfig(restart=5, tol=1e-10))
         rep = exc.value.report
         assert rep.outer_iterations == 2 and rep.inner_iterations_total == 2
-        assert rep.mv_count == 4 == op.counter.count
+        assert rep.mv_count == 2 * 2 + 2 * 2 + POLY_SETUP_MV == op.counter.count
         assert list(rep.residual_history) == [2.0, 2.0, 2.0]
 
     def test_shape_checks(self):
         op, _ = random_spd_operator(5, 31)
         with pytest.raises(ValueError):
             gmres_block(op, np.ones(5))
+
+
+def two_block_system():
+    """A block-diagonal A with a near-identity block and an SPD block of
+    condition 1e2, and one right-hand side in each: the first column
+    converges in a few steps, the second needs more than one cycle of 30.
+    Neither Krylov space closes within 30 steps."""
+    rng = np.random.default_rng(40)
+    n1, n2 = 40, 60
+    a = np.zeros((n1 + n2, n1 + n2))
+    a[:n1, :n1] = np.eye(n1) + 0.01 * rng.normal(size=(n1, n1))
+    q = np.linalg.qr(rng.normal(size=(n2, n2)))[0]
+    a[n1:, n1:] = q @ np.diag(np.geomspace(1.0, 1e2, n2)) @ q.T
+    b = np.zeros((n1 + n2, 2))
+    b[:n1, 0] = rng.normal(size=n1)
+    b[n1:, 1] = rng.normal(size=n2)
+    return a, b
+
+
+class TestInCycleStop:
+    def test_early_column_stops_inside_its_cycle(self):
+        a, b = two_block_system()
+        op = dense_operator(a)
+        x, (early, late) = gmres_block(op, b, GmresConfig(restart=30, tol=1e-10))
+        assert early.outer_iterations == 1 and early.inner_iterations_total < 30
+        assert early.mv_count == 2 * early.inner_iterations_total + 2 + POLY_SETUP_MV
+        # the column beside it ran its whole first cycle and went on
+        assert late.outer_iterations > 1 and late.inner_iterations_total > 30
+        assert np.all(np.linalg.norm(b - a @ x, axis=0) < 1e-10)
+        assert op.counter.count == early.mv_count + late.mv_count
+
+    def test_stop_is_not_a_breakdown(self):
+        a, b = two_block_system()
+        op = dense_operator(a)
+        beta = np.linalg.norm(b, axis=0)
+        V = np.zeros((2, 31, a.shape[0]))
+        V[:, 0] = (b / beta).T
+        H = np.zeros((2, 31, 30))
+        steps, broke = arnoldi_block(op, V, H, beta, 1e-10)
+        assert steps[0] < 30 and steps[1] == 30
+        assert not broke.any()
+        assert op.counter.count == steps.sum()
+        # the first column stops at the first step whose least-squares
+        # residual is below tol; the estimate only triggers it
+        _, res = hessenberg_lsq(H, beta, steps)
+        assert res[0] < 1e-10 <= res[1]
+        before = H[:1].copy()
+        before[:, :, steps[0] - 1:] = 0.0
+        _, res_before = hessenberg_lsq(before, beta[:1], [steps[0] - 1])
+        assert res_before[0] >= 1e-10
+
+
+class TestPreconditionedResidual:
+    def test_nonnormal_returned_x_meets_tol(self):
+        # a strongly nonnormal operator: each returned x is the one whose
+        # true residual was re-checked, so b - A x, recomputed here with
+        # the dense matrix, is below tol
+        n = 40
+        rng = np.random.default_rng(41)
+        a = np.diag(np.linspace(1.0, 4.0, n)) + 2.0 * np.triu(rng.normal(size=(n, n)), 1)
+        b = rng.normal(size=(n, 3))
+        x, reps = gmres_block(dense_operator(a), b, GmresConfig(restart=30, tol=1e-10))
+        assert np.all(np.linalg.norm(b - a @ x, axis=0) < 1e-10)
+        assert all(r.final_residual < 1e-10 for r in reps)
+
+    def test_no_floor_stall_on_criterion_4_graphs(self):
+        # the attainable-accuracy floor of A p(A): criterion 4's 20 graphs,
+        # both Eulerian kinds, three columns each, at the tolerance and
+        # restart of criteria 3 and 6, all end below tol without a
+        # reachable-floor or non-convergence error
+        for idx, n in enumerate(np.linspace(10, 200, 20).astype(int)):
+            n = int(n)
+            p, _ = build_transition(random_graph(n, attach=2, extra=n, seed=400 + idx))
+            pi = stationary_distribution(p, SubspaceConfig(tol=1e-10, seed=0)).pi
+            for kind in ("r", "d"):
+                sy = eulerian_system(p, pi, kind)
+                _, reps = pinv_columns(sy, [0, n // 2, n - 1],
+                                       GmresConfig(restart=60, tol=1e-13))
+                assert all(r.final_residual < 1e-13 for r in reps), (n, kind)

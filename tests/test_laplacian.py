@@ -14,15 +14,12 @@ from dpinv.laplacian import (
     build_laplacian,
     check_eulerian,
     check_properties,
-    embed_mmatrix,
     eulerian_system,
     general_laplacian,
     general_pinv,
     pinv_apply,
     pinv_columns,
-    pinv_from_reduced_general,
     pinv_rank1_general,
-    reduced_from_pinv_general,
 )
 from dpinv.oracle import dense_pinv_reference, penrose_check
 from dpinv.sparse import Digraph, SparseMatrix, build_transition
@@ -285,31 +282,7 @@ class TestBatchedColumns:
 
 
 class TestBorderedIdentities:
-    """Maps between a nullity-one pseudo-inverse and its leading-block inverse."""
-
-    def _symmetric_null_case(self, n, seed, kind):
-        p, _, pi = graph_system(n, seed=seed)
-        sysk = eulerian_system(p, pi, kind)
-        a = sysk.l.to_dense()
-        b = dense_pinv_reference(a, sysk.u)
-        return a, b, sysk.u
-
-    @pytest.mark.parametrize("kind", ["r", "d"])
-    def test_reduced_roundtrip_symmetric_null(self, kind):
-        # u spans both null spaces and has unit norm, so v = u is a valid pair
-        a, b, u = self._symmetric_null_case(14, 12, kind)
-        a11_inv = reduced_from_pinv_general(b, u, u)
-        np.testing.assert_allclose(a11_inv, np.linalg.inv(a[:-1, :-1]), atol=1e-9)
-        back = pinv_from_reduced_general(a11_inv, u, u)
-        np.testing.assert_allclose(back, b, atol=1e-9)
-
-    def test_requires_unit_norm(self):
-        # with v = u the pairing vᵀu = 1 is the unit-norm condition
-        _, b, u = self._symmetric_null_case(8, 13, "r")
-        with pytest.raises(ValueError, match="vᵀu = 1"):
-            reduced_from_pinv_general(b, u * 2.0, u * 2.0)
-        with pytest.raises(ValueError, match="positive last"):
-            pinv_from_reduced_general(np.eye(7), -u, -u)
+    """The pseudo-inverse of a nullity-one matrix through its {1}-inverses."""
 
     def _distinct_null_case(self, n, seed):
         p, d, pi = graph_system(n, seed=seed)
@@ -321,17 +294,15 @@ class TestBorderedIdentities:
         b = dense_pinv_reference(a, u, v)
         return a, b, u, v
 
-    def test_reduced_roundtrip_distinct_nulls(self):
+    def test_rank1_general_leading_block_inverse(self):
+        # the inverse of the nonsingular leading block, padded with zeros, is
+        # a {1}-inverse: A G A = A, and the projections give the pseudo-inverse
         a, b, u, v = self._distinct_null_case(12, 14)
-        a11_inv = reduced_from_pinv_general(b, u, v)
-        np.testing.assert_allclose(a11_inv, np.linalg.inv(a[:-1, :-1]), atol=1e-8)
-        back = pinv_from_reduced_general(a11_inv, u, v)
-        np.testing.assert_allclose(back, b, atol=1e-8)
-
-    def test_null_pair_normalization_enforced(self):
-        a, b, u, v = self._distinct_null_case(9, 15)
-        with pytest.raises(ValueError, match="vᵀu = 1"):
-            reduced_from_pinv_general(b, u, 2.0 * v)
+        g = np.zeros((12, 12))
+        g[:-1, :-1] = np.linalg.inv(a[:-1, :-1])
+        np.testing.assert_allclose(a @ g @ a, a, atol=1e-9)
+        full = pinv_rank1_general(lambda z: g @ z, u, v)
+        np.testing.assert_allclose(full, b, atol=1e-8)
 
     def test_rank1_general_matches_reference(self):
         a, b, u, v = self._distinct_null_case(11, 16)
@@ -433,63 +404,11 @@ class TestCheckProperties:
         assert rep.null_vector is False
         assert any("(Pc)" in msg for msg in rep.messages)
 
-    def test_reduced_mode(self):
-        la = self._good_matrix()
-        dense = la.to_dense()
-        l11 = SparseMatrix.from_dense(dense[:-1, :-1])
-        w = np.linalg.solve(dense[:-1, :-1], np.ones(9))
-        assert w.min() > 0  # M-matrix inverse is entrywise positive
-        rep = check_properties(l11, w, reduced=True)
-        assert rep.ok
-        bad = check_properties(l11, np.zeros(9), reduced=True)
-        assert bad.null_vector is False
-        assert any("(Pc')" in msg for msg in bad.messages)
-
     def test_general_laplacian_raises_with_messages(self):
         m = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
                                   [1.0, 1.0, -1.0, 1.0])
         with pytest.raises(InputError, match=r"\(Pb\)"):
             general_laplacian(m, np.ones(2))
-
-
-class TestEmbed:
-    def test_one_by_one_example(self):
-        l11 = SparseMatrix.from_coo(1, 1, [0], [0], [2.0])
-        lt = embed_mmatrix(l11, np.array([1.0]))
-        np.testing.assert_allclose(lt.l.to_dense(), [[2.0, -2.0], [-2.0, 2.0]])
-        np.testing.assert_allclose(lt.x, [1.0, 1.0])
-
-    def test_dominant_zmatrix_passes_property_checks(self):
-        # a Z-matrix dominant by rows and columns keeps the border sign-safe
-        rng = np.random.default_rng(19)
-        n1 = 5
-        m = -rng.uniform(0.1, 0.5, size=(n1, n1))
-        np.fill_diagonal(m, 3.0)
-        l11 = SparseMatrix.from_dense(m)
-        lt = embed_mmatrix(l11, np.ones(n1))
-        full = lt.l.to_dense()
-        assert full.shape == (n1 + 1, n1 + 1)
-        np.testing.assert_allclose(full[:-1, :-1], m, atol=1e-15)
-        np.testing.assert_allclose(full @ lt.x, 0.0, atol=1e-12)
-        # the scaled matrix L.Diag(x) has zero row sums; here x is the raw null
-        np.testing.assert_allclose(full.sum(axis=0), 0.0, atol=1e-12)
-        rep = check_properties(lt.l, lt.x)
-        assert rep.ok
-
-    def test_rejects_singular_block(self):
-        l11 = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
-                                    [1.0, -1.0, -1.0, 1.0])
-        with pytest.raises(InputError, match=r"\(Pc'\)"):
-            embed_mmatrix(l11, np.ones(2))
-
-    def test_rejects_negative_column_sum_block(self):
-        # the border's last row holds the negated column sums; a negative
-        # column sum would plant a positive off-diagonal entry, so the
-        # construction must refuse rather than emit an invalid matrix
-        m = np.array([[2.0, -1.9], [-0.1, 1.0]])
-        l11 = SparseMatrix.from_dense(m)
-        with pytest.raises(InputError, match=r"\(Pb\)"):
-            embed_mmatrix(l11, np.linalg.solve(m, np.ones(2)))
 
 
 class TestGeneralPinv:
@@ -564,25 +483,6 @@ class TestGeneralPinv:
         lt = GeneralLaplacian(m, np.ones(1))
         with pytest.raises(InputError, match="1x1"):
             general_pinv(lt)
-
-    def test_embedded_block_inverse_roundtrip(self):
-        # leading block of an undirected Laplacian: column sums stay
-        # nonnegative, so the bordered construction is sign-safe
-        rng = np.random.default_rng(28)
-        n = 9
-        a = np.zeros((n, n))
-        for i in range(n):
-            a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
-        for i, j in rng.integers(0, n, size=(5, 2)):
-            if i != j:
-                a[i, j] = a[j, i] = 1.0
-        lap = np.diag(a.sum(axis=1)) - a
-        l11 = SparseMatrix.from_dense(lap[:-1, :-1])
-        w = np.linalg.solve(lap[:-1, :-1], np.ones(n - 1))
-        lt = embed_mmatrix(l11, w)
-        block, info = general_pinv(lt, cfg=TIGHT)
-        a11_inv = reduced_from_pinv_general(block, lt.x, info.v)
-        np.testing.assert_allclose(a11_inv, np.linalg.inv(lap[:-1, :-1]), atol=1e-6)
 
 
 def two_cluster_laplacian(n, seed, decades=2.0):
