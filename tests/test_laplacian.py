@@ -294,9 +294,10 @@ class TestBorderedIdentities:
         b = dense_pinv_reference(a, u, v)
         return a, b, u, v
 
-    def test_rank1_general_leading_block_inverse(self):
-        # the inverse of the nonsingular leading block, padded with zeros, is
-        # a {1}-inverse: A G A = A, and the projections give the pseudo-inverse
+    def test_reduced_roundtrip_distinct_nulls(self):
+        # leading-block inverse to pseudo-inverse: the inverse of the
+        # nonsingular leading block, padded with zeros, is a {1}-inverse,
+        # A G A = A, and the projections give the pseudo-inverse
         a, b, u, v = self._distinct_null_case(12, 14)
         g = np.zeros((12, 12))
         g[:-1, :-1] = np.linalg.inv(a[:-1, :-1])
