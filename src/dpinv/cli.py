@@ -8,6 +8,7 @@ a failed LAPACK call or a failed verification).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -83,11 +84,6 @@ def _parse_cols(spec: str, n: int) -> list[int]:
     return cols
 
 
-def _print_block(block: np.ndarray) -> None:
-    for row in block:
-        print(",".join(dio._FMT % v for v in row))
-
-
 def _require_raw_out(args) -> None:
     """Reject raw output to stdout before any work is done."""
     if args.format == "raw" and args.out is None:
@@ -96,7 +92,7 @@ def _require_raw_out(args) -> None:
 
 def _write_block(block: np.ndarray, out: str | None, fmt: str) -> None:
     if out is None:
-        _print_block(block)
+        dio._write_rows(sys.stdout, block)
     elif fmt == "raw":
         dio.write_columns_raw(block, out)
     else:
@@ -133,8 +129,7 @@ def cmd_stationary(args) -> int:
               f"width={result.width} residual={result.residual:.3e} "
               f"time_ms={result.wall_time * 1e3:.2f}", file=sys.stderr)
     if args.out is None:
-        for v in result.pi:
-            print(dio._FMT % v)
+        dio._write_rows(sys.stdout, result.pi)
     else:
         dio.write_vector(result.pi, args.out)
     return 0
@@ -476,8 +471,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser() once per process: parsing leaves the parser unchanged
+    and each call gets a fresh namespace. The subcommand functions are bound
+    when it is first built."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,11 +9,18 @@ Formats:
   little-endian float64 values preceded by an 8-byte header (two little-endian
   uint32 words: row count, column count).
 * Vectors: plain text, one value per line.
+
+Edge lists and the entry blocks of general Matrix Market files are parsed in
+one ``np.loadtxt`` pass; an input that pass refuses, or that fails a reader's
+checks, is read again line by line, which alone reports ``file:line``
+errors. Both routes accept the same inputs and return the same arrays.
+Symmetric Matrix Market files and index triplet files are read line by line.
 """
 
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 
@@ -21,9 +28,61 @@ from .errors import InputError
 from .sparse import Digraph, SparseMatrix
 
 _FMT = "%.17g"
+# Bytes of float64 values formatted by one operation of the text writers.
+_WRITE_BYTES = 1 << 16
+
+# Row layouts of the one-pass parse: two int64 ids, then an optional value.
+_IDS = np.dtype([("i", np.int64), ("j", np.int64)])
+_IDS_VALUE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _load_table(fh, dtypes, comments=None, max_rows=None) -> np.ndarray | None:
+    """The rest of text file ``fh`` parsed by one ``np.loadtxt`` call into
+    rows of the first of ``dtypes`` that every line fits; ``fh`` is left
+    where it was.
+
+    Returns None when the text does not decode or is not ASCII, or when
+    numpy refuses it or warns about it (no data; a blank line among the first
+    ``max_rows``). The caller then reads it with its per-line loop.
+    Non-ASCII text always goes that way: numpy's integer parser reads some
+    non-ASCII characters as digits ("\u01ff0" is 4630) where ``int`` refuses
+    them. On ASCII text its whitespace, comment and number rules are those
+    of ``str.split``, ``int`` and ``float``.
+    """
+    start = fh.tell()
+    try:
+        ascii_only = fh.read().isascii()
+    except UnicodeDecodeError:  # the per-line loop raises it from its own line
+        return None
+    finally:
+        fh.seek(start)
+    if not ascii_only:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dtype in dtypes:
+            try:
+                return np.loadtxt(fh, dtype=dtype, comments=comments,
+                                  max_rows=max_rows, ndmin=1)
+            except (ValueError, Warning):
+                pass
+            finally:
+                fh.seek(start)
+    return None
 
 
 def read_edge_list(path) -> Digraph:
+    with open(path, "r", encoding="utf-8") as fh:
+        table = _load_table(fh, (_IDS_VALUE, _IDS), comments="#")
+    if (table is None or len(table) == 0
+            or min(table["i"].min(), table["j"].min()) < 0):
+        return _read_edge_list_lines(path)
+    src, dst = table["i"], table["j"]
+    wgt = table["v"] if "v" in table.dtype.names else np.ones(len(table))
+    return Digraph(int(max(src.max(), dst.max())) + 1, src, dst, wgt)
+
+
+def _read_edge_list_lines(path) -> Digraph:
     src: list[int] = []
     dst: list[int] = []
     wgt: list[float] = []
@@ -80,31 +139,48 @@ def read_matrix_market(path) -> SparseMatrix:
             raise InputError(f"{path}:{lineno}: bad size line") from exc
         if min(n_rows, n_cols, nnz) < 0:
             raise InputError(f"{path}:{lineno}: bad size line")
-        want = "row col" if value_type == "pattern" else "row col value"
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for lineno in range(lineno + 1, lineno + 1 + nnz):
-            parts = fh.readline().split()
-            if not parts:
-                raise InputError(f"{path}:{lineno}: truncated entry list")
-            if len(parts) < len(want.split()):
-                raise InputError(f"{path}:{lineno}: expected '{want}'")
-            try:
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
-                v = float(parts[2]) if value_type != "pattern" else 1.0
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            if not (0 <= i < n_rows and 0 <= j < n_cols):
-                raise InputError(f"{path}:{lineno}: index ({i + 1}, {j + 1}) outside "
-                                 f"the {n_rows} x {n_cols} matrix")
-            rows.append(i)
-            cols.append(j)
+        table = None
+        if symmetry == "general":
+            table = _load_table(fh, (_IDS if value_type == "pattern" else _IDS_VALUE,),
+                                max_rows=nnz)
+        if (table is None or len(table) != nnz or nnz == 0
+                or table["i"].min() < 1 or table["i"].max() > n_rows
+                or table["j"].min() < 1 or table["j"].max() > n_cols):
+            return _read_mm_entries_lines(fh, path, lineno, n_rows, n_cols, nnz,
+                                          value_type, symmetry)
+    rows, cols = table["i"] - 1, table["j"] - 1
+    vals = table["v"] if value_type != "pattern" else np.ones(nnz)
+    return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+
+
+def _read_mm_entries_lines(fh, path, lineno, n_rows, n_cols, nnz, value_type,
+                           symmetry) -> SparseMatrix:
+    """The ``nnz`` entry lines after the size line (line ``lineno``)."""
+    want = "row col" if value_type == "pattern" else "row col value"
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for lineno in range(lineno + 1, lineno + 1 + nnz):
+        parts = fh.readline().split()
+        if not parts:
+            raise InputError(f"{path}:{lineno}: truncated entry list")
+        if len(parts) < len(want.split()):
+            raise InputError(f"{path}:{lineno}: expected '{want}'")
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            v = float(parts[2]) if value_type != "pattern" else 1.0
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if not (0 <= i < n_rows and 0 <= j < n_cols):
+            raise InputError(f"{path}:{lineno}: index ({i + 1}, {j + 1}) outside "
+                             f"the {n_rows} x {n_cols} matrix")
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+        if symmetry == "symmetric" and i != j:
+            rows.append(j)
+            cols.append(i)
             vals.append(v)
-            if symmetry == "symmetric" and i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(v)
     return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
 
 
@@ -168,12 +244,22 @@ def load_graph(path) -> Digraph:
     return read_edge_list(path)
 
 
+def _write_rows(fh, block: np.ndarray) -> None:
+    """Write the rows of a 2-D block, comma separated, or a vector one value
+    per line, as "%.17g" text: one format operation per slice of about
+    ``_WRITE_BYTES`` of values, so the text is never built whole."""
+    block = np.asarray(block, dtype=np.float64)
+    width = block.shape[1] if block.ndim == 2 else 1
+    row = ",".join([_FMT] * width) + "\n"
+    step = max(1, _WRITE_BYTES // (8 * max(width, 1)))
+    for k in range(0, len(block), step):
+        chunk = block[k:k + step]
+        fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def write_columns_csv(block: np.ndarray, path) -> None:
-    block = np.atleast_2d(np.asarray(block, dtype=np.float64))
     with open(path, "w", encoding="utf-8") as fh:
-        for row in block:
-            fh.write(",".join(_FMT % v for v in row))
-            fh.write("\n")
+        _write_rows(fh, np.atleast_2d(block))
 
 
 def read_columns_csv(path) -> np.ndarray:
@@ -222,9 +308,7 @@ def read_columns_raw(path) -> np.ndarray:
 
 def write_vector(x: np.ndarray, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for v in np.asarray(x, dtype=np.float64):
-            fh.write(_FMT % v)
-            fh.write("\n")
+        _write_rows(fh, x)
 
 
 def read_vector(path) -> np.ndarray:

@@ -451,3 +451,41 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, ["--help"])[0] == 0
         assert run(capsys, ["pinv", "--help"])[0] == 0
+
+
+class TestParserOnce:
+    def test_built_once_per_process(self, capsys, cycle3_file, monkeypatch):
+        calls = []
+        inner = dpinv.cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return inner()
+
+        monkeypatch.setattr(dpinv.cli, "build_parser", counting)
+        dpinv.cli._parser.cache_clear()
+        assert run(capsys, ["metrics", str(cycle3_file), "--kemeny"])[0] == 0
+        assert run(capsys, ["stationary", str(cycle3_file)])[0] == 0
+        assert len(calls) == 1
+
+    def test_no_argument_carries_over(self, capsys, cycle3_file, monkeypatch):
+        parser = dpinv.cli._parser()
+        seen = []
+        inner = parser.parse_args
+
+        def recording(argv):
+            seen.append(inner(argv))
+            return seen[-1]
+
+        monkeypatch.setattr(parser, "parse_args", recording)
+        code, out, _ = run(capsys, ["metrics", str(cycle3_file), "--gamma", "0.15"])
+        assert code == 0 and "j,influence" in out
+        code, out, _ = run(capsys, ["metrics", str(cycle3_file), "--kemeny"])
+        assert code == 0 and "j,influence" not in out
+        assert seen[0].gamma == 0.15 and seen[1].gamma is None
+
+    def test_usage_error_after_a_job_exits_1(self, capsys, cycle3_file):
+        assert run(capsys, ["metrics", str(cycle3_file), "--kemeny"])[0] == 0
+        code, _, err = run(capsys, ["metrics", str(cycle3_file), "--gamma", "x"])
+        assert code == 1 and "invalid float value" in err
+        assert run(capsys, ["metrics"])[0] == 1
