@@ -113,8 +113,7 @@ def cmd_gen(args) -> int:
     cfg = GenConfig(args.n, args.attach, args.extra, args.seed)
     g = preferential_attachment_digraph(cfg)
     if args.out is None:
-        for s, d, w in zip(g.src, g.dst, g.weight):
-            print(f"{int(s)}\t{int(d)}\t{dio._FMT % w}")
+        dio._write_edges(sys.stdout, g)
     else:
         dio.write_edge_list(g, args.out)
     return 0
@@ -192,6 +191,9 @@ def _parse_tuples(spec: str, arity: int) -> list[tuple[int, ...]]:
 
 
 def cmd_metrics(args) -> int:
+    if not (args.pairs or args.triples or args.kemeny or args.gamma is not None):
+        raise InputError("nothing to compute; pass --pairs, --triples, "
+                         "--kemeny or --gamma")
     g = dio.load_graph(args.graph)
     if args.gamma is not None:
         g = augment_evaporating(g, args.gamma)
@@ -205,6 +207,9 @@ def cmd_metrics(args) -> int:
     for i, j, k in triples:
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise InputError(f"triple {i}:{j}:{k} out of range for n={n}")
+        if j == k:
+            raise InputError(f"triple {i}:{j}:{k}: pass probability to the "
+                             "absorbing node is undefined")
     want_influence = args.gamma is not None
     p, _ = build_transition(g, adjacency)
     stat = stationary_distribution(p, _sub_cfg(args))

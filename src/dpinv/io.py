@@ -110,10 +110,23 @@ def _read_edge_list_lines(path) -> Digraph:
     return Digraph(n, np.array(src), np.array(dst), np.array(wgt))
 
 
+def _write_edges(fh, g: Digraph) -> None:
+    """Write the arcs of ``g`` as tab separated ``src dst weight`` lines,
+    one format operation per slice of about ``_WRITE_BYTES`` of values."""
+    line = "%d\t%d\t" + _FMT + "\n"
+    step = max(1, _WRITE_BYTES // 24)
+    for k in range(0, len(g.src), step):
+        src = g.src[k:k + step].tolist()
+        fields = [None] * (3 * len(src))
+        fields[0::3] = src
+        fields[1::3] = g.dst[k:k + step].tolist()
+        fields[2::3] = g.weight[k:k + step].tolist()
+        fh.write((line * len(src)) % tuple(fields))
+
+
 def write_edge_list(g: Digraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for s, t, w in zip(g.src, g.dst, g.weight):
-            fh.write(f"{s}\t{t}\t{_FMT % w}\n")
+        _write_edges(fh, g)
 
 
 def read_matrix_market(path) -> SparseMatrix:

@@ -1,9 +1,9 @@
 """Random-walk metrics evaluated from pseudo-inverse entries.
 
-Every metric here is a small affine combination of entries of M = L⁺ for
-the "r" or "d" Laplacian of a strongly connected chain. The "d" form needs
-only the columns named by the query; the "r" form of the hitting time and
-the Kemeny constant additionally needs full rows, hence full matrices.
+Each metric is one affine formula in N and w = N π. N is M = L⁺ itself for
+the "r" Laplacian of a strongly connected chain and Π^{-1/2} M Π^{-1/2} for
+the "d" one, Π = Diag(π). For kind "d" w is 0, so a metric reads only the
+columns its query names; for kind "r" w needs every column.
 """
 
 from __future__ import annotations
@@ -72,30 +72,38 @@ def _clamp_nonneg(value: float, what: str) -> float:
     return 0.0
 
 
+def _root(block: PinvBlock, idx) -> np.ndarray:
+    """r[idx] in N_ij = M_ij / (r_i r_j): √π for kind "d", 1 for kind "r"."""
+    pi = block.pi[idx]
+    return np.sqrt(pi) if block.kind == "d" else np.ones_like(pi)
+
+
+def _n_entry(block: PinvBlock, i: int, j: int) -> float:
+    return block.entry(i, j) / _root(block, i) / _root(block, j)
+
+
+def _w(block: PinvBlock) -> np.ndarray:
+    """w = N π. For kind "d" it is exactly 0, since √π spans both null
+    spaces of L_d⁺, so no column is read; for kind "r" it needs them all."""
+    if block.kind == "d":
+        return np.zeros(block.n)
+    return block.full_matrix() @ block.pi
+
+
 def hitting_time(block: PinvBlock, i: int, k: int) -> float:
     """Expected steps from i to the first arrival at k."""
     if i == k:
         return 0.0
-    pi = block.pi
-    if block.kind == "d":
-        return (block.entry(k, k) / pi[k]
-                - block.entry(i, k) / np.sqrt(pi[i] * pi[k]))
-    m = block.full_matrix()
-    weighted = m @ pi
-    return float(m[k, k] - m[i, k] + weighted[i] - weighted[k])
+    w = _w(block)
+    return float(_n_entry(block, k, k) - _n_entry(block, i, k) + w[i] - w[k])
 
 
 def commute_time(block: PinvBlock, i: int, k: int) -> float:
     """Expected round-trip steps i -> k -> i. Needs columns i and k only."""
     if i == k:
         return 0.0
-    pi = block.pi
-    if block.kind == "d":
-        s = np.sqrt(pi[i] * pi[k])
-        return (block.entry(i, i) / pi[i] + block.entry(k, k) / pi[k]
-                - block.entry(i, k) / s - block.entry(k, i) / s)
-    return (block.entry(i, i) + block.entry(k, k)
-            - block.entry(i, k) - block.entry(k, i))
+    return float(_n_entry(block, i, i) + _n_entry(block, k, k)
+                 - _n_entry(block, i, k) - _n_entry(block, k, i))
 
 
 def visits(block: PinvBlock, i: int, j: int, k: int) -> float:
@@ -104,16 +112,8 @@ def visits(block: PinvBlock, i: int, j: int, k: int) -> float:
     The occupancy at the start counts (so visits(j, j, k) >= 1); arrival at
     k ends the walk before it is counted.
     """
-    pi = block.pi
-    if block.kind == "d":
-        s = np.sqrt(pi)
-        raw = (s[j] / s[i] * block.entry(i, j)
-               - s[j] / s[k] * block.entry(k, j)
-               - pi[j] / (s[i] * s[k]) * block.entry(i, k)
-               + pi[j] / pi[k] * block.entry(k, k))
-    else:
-        raw = (block.entry(i, j) - block.entry(k, j)
-               - block.entry(i, k) + block.entry(k, k)) * pi[j]
+    raw = (_n_entry(block, i, j) - _n_entry(block, k, j)
+           - _n_entry(block, i, k) + _n_entry(block, k, k)) * block.pi[j]
     return _clamp_nonneg(float(raw), f"visits({i},{j},{k})")
 
 
@@ -131,33 +131,28 @@ def pass_probability(block: PinvBlock, i: int, j: int, k: int) -> float:
 def kemeny_constant(block: PinvBlock) -> float:
     """The Kemeny constant: pi-weighted mean hitting time from any start."""
     pi = block.pi
-    if block.kind == "d":
-        return float(sum(block.entry(j, j) for j in range(block.n)))
-    m = block.full_matrix()
-    weighted = m @ pi
-    h_row0 = np.diag(m) - m[0, :] + weighted[0] - weighted
-    return float(pi @ h_row0)
+    r = _root(block, slice(None))
+    diag = np.array([block.entry(j, j) for j in range(block.n)]) / r / r
+    return float(pi @ diag - pi @ _w(block))
 
 
 def visits_matrix(block: PinvBlock, k: int) -> np.ndarray:
     """All visit counts against absorbing node k, as a matrix V[i, j]."""
-    m = block.full_matrix()
-    pi = block.pi
-    if block.kind == "r":
-        v = (m - m[k, :][None, :] - m[:, [k]] + m[k, k]) * pi[None, :]
-    else:
-        s = np.sqrt(pi)
-        term1 = (m / s[:, None]) * s[None, :]
-        term2 = np.outer(np.ones(block.n), m[k, :] * s / s[k])
-        term3 = np.outer(m[:, k] / (s * s[k]), pi)
-        term4 = (m[k, k] / pi[k]) * np.outer(np.ones(block.n), pi)
-        v = term1 - term2 - term3 + term4
+    v = block.full_matrix()  # a fresh array: N and then V are built in place
+    r = _root(block, slice(None))
+    v /= r[:, None]
+    v /= r
+    row, col, corner = v[k].copy(), v[:, k].copy(), v[k, k]
+    v -= row
+    v -= col[:, None]
+    v += corner
+    v *= block.pi
     bad = v < -CLAMP_TOL
     if bad.any():
         i, j = np.argwhere(bad)[0]
         warnings.warn(f"visits({int(i)},{int(j)},{k}) = {v[i, j]:.3e} clamped "
                       "to 0; may indicate an unconverged solve", stacklevel=2)
-    return np.maximum(v, 0.0)
+    return np.maximum(v, 0.0, out=v)
 
 
 def augment_evaporating(g: Digraph, gamma: float,
@@ -208,15 +203,16 @@ def influence_scores(block: PinvBlock, absorbing: int) -> np.ndarray:
     """
     _require_evaporating(block, absorbing)
     v = visits_matrix(block, absorbing)
-    original = [j for j in range(block.n) if j != absorbing]
-    scores = np.empty(len(original))
-    for c, j in enumerate(original):
-        den = v[j, j]
-        if den <= 0.0:
-            raise ValueError(f"visits({j},{j},{absorbing}) must be at least 1")
-        col = v[original, j] / den
-        scores[c] = float(np.minimum(col, 1.0).sum())
-    return scores
+    v[absorbing] = 0.0  # no walk starts at the evaporating node
+    den = v.diagonal().copy()
+    den[absorbing] = 1.0  # its column is dropped below
+    bad = np.flatnonzero(den <= 0.0)
+    if bad.size:
+        raise ValueError(f"visits({int(bad[0])},{int(bad[0])},{absorbing}) "
+                         "must be at least 1")
+    v /= den
+    np.minimum(v, 1.0, out=v)
+    return np.delete(v.sum(axis=0), absorbing)
 
 
 def trust_score(block: PinvBlock, i: int, j: int, absorbing: int) -> float:

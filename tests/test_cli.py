@@ -51,6 +51,13 @@ class TestGen:
         assert main(["gen", "--n", "40", "--seed", "5", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_stdout_matches_file(self, capsys, tmp_path):
+        path = tmp_path / "g.tsv"
+        assert run(capsys, ["gen", "--n", "40", "--seed", "5", "--out", str(path)])[0] == 0
+        code, out, _ = run(capsys, ["gen", "--n", "40", "--seed", "5"])
+        assert code == 0
+        assert out == path.read_text()
+
     def test_too_small_n_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["gen", "--n", "2"])
         assert code == 1
@@ -319,6 +326,19 @@ class TestMetrics:
                                     "--triples", "0:1:9"])
         assert code == 2
         assert "out of range" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        ([], "nothing to compute"),
+        (["--pairs", "0:2", "--triples", "1:2:0,0:1:1"],
+         "triple 0:1:1: pass probability to the absorbing node is undefined"),
+    ], ids=["no-request", "triple-j-equals-k"])
+    def test_rejected_before_solving(self, capsys, cycle3_file, monkeypatch,
+                                      extra, message):
+        monkeypatch.setattr(dpinv.cli, "stationary_distribution", _never_called)
+        code, out, err = run(capsys, ["metrics", str(cycle3_file)] + extra)
+        assert code == 2
+        assert message in err
+        assert out == ""
 
 
 class TestBench:

@@ -24,7 +24,7 @@ from dpinv.io import (
     write_matrix_market,
     write_vector,
 )
-from dpinv.sparse import SparseMatrix
+from dpinv.sparse import Digraph, SparseMatrix
 
 
 class TestEdgeList:
@@ -272,6 +272,18 @@ class TestTextWriters:
         x = tall.ravel()
         write_vector(x, path)
         assert path.read_text() == "".join("%.17g\n" % v for v in x)
+
+    @pytest.mark.parametrize("write_bytes", [64, 1 << 16])
+    def test_edge_list_byte_identical(self, tmp_path, monkeypatch, write_bytes):
+        monkeypatch.setattr(dpinv.io, "_WRITE_BYTES", write_bytes)
+        rng = np.random.default_rng(65)
+        m = 5003
+        g = Digraph(10 ** 6, rng.integers(0, 10 ** 6, m), rng.integers(0, 10 ** 6, m),
+                    10.0 ** rng.uniform(-300, 300, m))
+        path = tmp_path / "g.tsv"
+        write_edge_list(g, path)
+        assert path.read_text() == "".join(
+            f"{s}\t{t}\t{'%.17g' % w}\n" for s, t, w in zip(g.src, g.dst, g.weight))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the random-walk metrics layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from dpinv.metrics import (
     visits,
     visits_matrix,
 )
-from dpinv.oracle import hitting_times_direct
+from dpinv.oracle import hitting_times_direct, stationary_direct
 from dpinv.sparse import Digraph, build_transition
 from dpinv.stationary import SubspaceConfig, stationary_distribution
 
@@ -170,13 +172,46 @@ class TestIdentities:
 
 
 class TestVisitsMatrix:
-    def test_matches_entrywise(self, cycle3_p):
+    def test_matches_entrywise(self, cycle3_p, case):
         br, bd, _ = blocks_for(cycle3_p)
         for block in (br, bd):
             v = visits_matrix(block, 2)
             for i in range(3):
                 for j in range(3):
                     assert abs(v[i, j] - visits(block, i, j, 2)) < 1e-12
+        _, br20, bd20, _ = case
+        for block in (br20, bd20):
+            v = visits_matrix(block, 7)
+            for i in range(20):
+                for j in range(20):
+                    assert abs(v[i, j] - visits(block, i, j, 7)) < 1e-12
+
+    def test_block_columns_untouched(self, case):
+        # the columns are views of one solved array, as the CLI builds them
+        _, br, bd, pi = case
+        for block in (br, bd):
+            solved = block.full_matrix()
+            before = solved.copy()
+            views = PinvBlock(block.kind, pi,
+                              {j: solved[:, j] for j in range(block.n)})
+            visits_matrix(views, 5)
+            influence_scores(views, 19)
+            np.testing.assert_array_equal(solved, before)
+
+    def test_influence_peak_memory(self):
+        # one n x n block for V, plus n^2 bytes for the clamp mask
+        g = augment_evaporating(random_graph(299, extra=150, seed=43), gamma=0.15)
+        p, _ = build_transition(g)
+        pi = stationary_direct(p)
+        m = np.linalg.pinv(eulerian_system(p, pi, "d").l.to_dense())
+        block = PinvBlock("d", pi, {j: m[:, j] for j in range(g.n)})
+        tracemalloc.start()
+        try:
+            influence_scores(block, g.evaporating_node)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * g.n ** 2
 
     def test_large_negative_warns(self, cycle3_p):
         br, _, pi = blocks_for(cycle3_p)
