@@ -140,8 +140,12 @@ def cmd_pinv(args) -> int:
     cols = _parse_cols(args.cols, g.n)
     p, _ = build_transition(g, _require_sc(g))
     # pi is driven tighter than the column tolerance: d-kind column accuracy
-    # degrades with the stationary residual amplified by 1/sqrt(min pi)
-    stat = stationary_distribution(p, _sub_cfg(args, tol_cap=1e-10))
+    # degrades with the stationary residual amplified by 1/sqrt(min pi), and
+    # on nearly reducible chains by the inverse spectral gap as well. At
+    # 1e-10, 8 of 5,280 two-cluster chains (n 200-300, weights over 1-2
+    # decades) left π more than 1e-5 off relative (worst 4.2e-5); at 1e-11
+    # none of 4,800 did (worst 3.5e-6), for about 4 more products.
+    stat = stationary_distribution(p, _sub_cfg(args, tol_cap=1e-11))
     sys_ = eulerian_system(p, stat.pi, args.kind)
     cfg = GmresConfig(tol=args.tol)
     block, reports = pinv_columns(sys_, cols, cfg)
@@ -371,9 +375,9 @@ def cmd_verify(args) -> int:
 # Parser assembly.
 
 
-_ELL_HELP = ("fixed subspace block width (default: start at 2 and double, "
-             "up to 30, after 8 rounds in a row that fail to halve the "
-             "residual)")
+_ELL_HELP = ("solve the stationary distribution by subspace iteration at "
+             "this fixed block width, which must exceed the chain's period "
+             "(default: shifted GMRES, which needs no width)")
 
 
 def _add_iter_args(p, tol_default=1e-9) -> None:
@@ -381,7 +385,8 @@ def _add_iter_args(p, tol_default=1e-9) -> None:
     p.add_argument("--tol", type=float, default=tol_default,
                    help=f"convergence tolerance (default {tol_default:g})")
     p.add_argument("--max-iter", type=int, default=10_000, dest="max_iter",
-                   help="iteration cap (default 10000)")
+                   help="cap on each stationary solve: GMRES restart cycles, "
+                        "or subspace rounds with --ell (default 10000)")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: DPINV_SEED or 0)")
 
@@ -408,7 +413,10 @@ def build_parser() -> _Parser:
     _add_iter_args(p)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--report", action="store_true",
-                   help="print iteration statistics to stderr")
+                   help="print iteration statistics to stderr: iterations "
+                        "are GMRES restart cycles and width the restart "
+                        "length, or with --ell subspace rounds and the "
+                        "block width")
     p.set_defaults(func=cmd_stationary)
 
     p = sub.add_parser("pinv", help="pseudo-inverse columns of a graph Laplacian")

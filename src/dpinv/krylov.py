@@ -1,4 +1,5 @@
-"""Restarted GMRES for the shifted Laplacian systems, many right-hand sides at once.
+"""Restarted GMRES for the shifted Laplacian and stationary systems, many
+right-hand sides at once.
 
 Each solve is right preconditioned by a polynomial: GMRES runs on A p(A)
 and returns x = p(A) y. p(z) = c₀ + c₁z is fitted once per call, in 2

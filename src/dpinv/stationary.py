@@ -1,5 +1,20 @@
-"""Stationary distributions of irreducible chains by blocked subspace iteration.
+"""Stationary distributions of irreducible chains.
 
+By default π solves one nonsingular linear system on the package's Krylov
+engine, :func:`dpinv.krylov.gmres_block`, with its degree-2 polynomial and
+its in-cycle stop. With c = 1/n the system
+
+    (I − Pᵀ + c 1 1ᵀ) x = c 1
+
+has exactly one solution for an irreducible P, and π = x / 1ᵀx. If r is the
+GMRES residual, then x − Pᵀx = −(I − 1 1ᵀ/n) r, so ‖Pᵀπ − π‖₂ ≤ ‖r‖₂ / 1ᵀx.
+GMRES therefore runs to tol/2, and one counted product checks
+‖Pᵀπ − π‖₂ ≤ tol at the end. A candidate with an entry that is not positive,
+or one that fails the check, is solved again at a 100 times tighter GMRES
+tolerance. Entries are never clamped: when GMRES cannot reach the tighter
+tolerance, the solve fails with a message that names the entry.
+
+An explicit block width ``ell`` selects blocked subspace iteration instead.
 Each round is textbook subspace iteration: apply Pᵀ to an orthonormal block
 q, take the candidate π from a Rayleigh–Ritz step (q y, where y is the
 eigenvector of the small matrix qᵀPᵀq whose eigenvalue is real and nearest
@@ -7,16 +22,7 @@ eigenvector of the small matrix qᵀPᵀq whose eigenvalue is real and nearest
 orthonormal block even when Pᵀq is rank deficient, and the candidate does not
 feed back into the block. The block width must exceed the period of the chain
 for the Ritz direction to settle; widths are clamped to the state count, at
-which point the step is exact.
-
-A fixed width costs width + 1 products per round whether or not the extra
-columns speed convergence, and on most chains they do not. So by default the
-block starts at width 2 and doubles, up to 30 columns, only when the residual
-stops halving. A round stalls when its residual is not below half of the
-reference residual; the first round at each width and every round that does
-halve it set the reference. After 8 stalled rounds in a row the width doubles
-and the new columns are fresh random draws. A periodic chain stalls at any
-width up to its period, so it widens until the block exceeds the period.
+which point the step is exact. A round costs width + 1 products.
 """
 
 from __future__ import annotations
@@ -26,24 +32,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import GmresNonConvergenceError, NumericalError
+from .krylov import GmresConfig, gmres_block
 from .sparse import MvCounter, SparseMatrix, matvec_transpose, row_sums
 
 _SEED_STREAM_START_BLOCK = 3
-_START_WIDTH = 2
-_MAX_WIDTH = 30
-_STALL_ROUNDS = 8
+# GMRES tolerance divisor for each re-solve of a rejected candidate.
+_RETRY_FACTOR = 100.0
 
 
 @dataclass
 class SubspaceConfig:
-    # fixed block width, clamped to the state count; None starts at width 2
-    # and doubles after _STALL_ROUNDS stalled rounds in a row, up to
-    # _MAX_WIDTH columns (see the module docstring)
+    # None solves π by shifted GMRES; an integer selects subspace iteration
+    # with that fixed block width, clamped to the state count
     ell: int | None = None
     tol: float = 1e-9           # tolerance on ‖Pᵀπ − π‖₂
+    # GMRES restart cycles per solve, or subspace rounds with ell
     max_iterations: int = 10000
-    seed: int = 0
+    seed: int = 0               # start block of subspace iteration; unused by GMRES
 
     def __post_init__(self) -> None:
         if self.ell is not None and self.ell < 2:
@@ -58,10 +64,14 @@ class SubspaceConfig:
 class StationaryResult:
     pi: np.ndarray
     residual: float
-    iterations: int
+    iterations: int             # GMRES restart cycles, or subspace rounds
     mv_count: int
     wall_time: float
-    width: int                  # block width of the last round
+    # GMRES restart length, the most basis vectors a cycle builds; or the
+    # subspace block width
+    width: int
+    # GMRES residual ‖c 1 − A x‖₂ after each cycle, or ‖Pᵀπ − π‖₂ after
+    # each subspace round
     residual_history: np.ndarray = field(repr=False, default=None)
 
 
@@ -113,29 +123,71 @@ def stationary_distribution(p: SparseMatrix,
     """Stationary distribution π of a row-stochastic, irreducible P.
 
     Returns π with positive entries summing to 1 and ‖Pᵀπ − π‖₂ ≤ tol.
-    Raises :class:`NumericalError` when the iteration cap is reached, which
-    for a valid chain usually means the block width does not exceed the
-    chain's period. With ``cfg.ell`` left at None the width grows on stalls
-    as the module docstring describes.
+    Raises :class:`NumericalError` when the solve fails: with ``cfg.ell``
+    left at None when GMRES reaches its restart-cycle cap or cannot reach a
+    tolerance that gives positive entries, and with an explicit ``ell``
+    when the round cap is reached, which for a valid chain usually means
+    the block width does not exceed the chain's period.
     """
     if cfg is None:
         cfg = SubspaceConfig()
     _validate_stochastic(p)
-    n = p.n_rows
     t0 = time.perf_counter()
-    if n == 1:
+    if p.n_rows == 1:
         return StationaryResult(np.ones(1), 0.0, 0, 0, time.perf_counter() - t0,
                                 1, np.zeros(0))
-    if cfg.ell is None:
-        width, max_width = min(_START_WIDTH, n), min(_MAX_WIDTH, n)
-    else:
-        width = max_width = min(cfg.ell, n)
+    counter = MvCounter()
+    solve = _shifted_gmres if cfg.ell is None else _subspace_iteration
+    pi, res, iterations, width, history = solve(p, cfg, counter)
+    return StationaryResult(pi, res, iterations, counter.count,
+                            time.perf_counter() - t0, width, np.array(history))
+
+
+def _shifted_gmres(p: SparseMatrix, cfg: SubspaceConfig, counter: MvCounter):
+    """π from (I − Pᵀ + c 1 1ᵀ) x = c 1 by GMRES; see the module docstring."""
+    n = p.n_rows
+    c = 1.0 / n
+
+    def apply(z):
+        return z - matvec_transpose(p, z, counter) + c * z.sum(axis=0)
+
+    b = np.full((n, 1), c)
+    gcfg = GmresConfig(tol=0.5 * cfg.tol, max_outer=cfg.max_iterations)
+    cycles, history, rejected = 0, [], None
+    while True:
+        try:
+            x, (rep,) = gmres_block(apply, b, gcfg)
+        except GmresNonConvergenceError as exc:
+            if rejected is None:
+                raise NumericalError(f"stationary solve: {exc}") from exc
+            raise NumericalError(
+                f"stationary solve: {rejected}, and the re-solve at GMRES "
+                f"tolerance {gcfg.tol:.1e} failed: {exc}") from exc
+        cycles += rep.outer_iterations
+        history += list(rep.residual_history[1:])
+        x = x[:, 0]
+        total = x.sum()
+        # at a tolerance above ‖c 1‖₂ GMRES returns x = 0, which is rejected
+        pi = x / total if total > 0.0 else x
+        res = stationary_residual(p, pi, counter)
+        if total > 0.0 and pi.min() > 0.0 and res <= cfg.tol:
+            return pi, res, cycles, gcfg.restart, history
+        j = int(pi.argmin())
+        if pi[j] <= 0.0:
+            rejected = f"entry {j} of the candidate π is {pi[j]:.3e}"
+        else:
+            rejected = f"the candidate π has residual {res:.3e} > tol {cfg.tol:.1e}"
+        gcfg = GmresConfig(tol=gcfg.tol / _RETRY_FACTOR, max_outer=cfg.max_iterations)
+
+
+def _subspace_iteration(p: SparseMatrix, cfg: SubspaceConfig, counter: MvCounter):
+    """π by fixed-width blocked subspace iteration; see the module docstring."""
+    n = p.n_rows
+    width = min(cfg.ell, n)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([cfg.seed, _SEED_STREAM_START_BLOCK])))
-    counter = MvCounter()
     q = np.linalg.qr(_start_block(n, width, rng))[0]
     history: list[float] = []
-    ref, stalled = np.inf, 0
     for iteration in range(1, cfg.max_iterations + 1):
         w = matvec_transpose(p, q, counter)
         lead = q @ _ritz_vector(q.T @ w)
@@ -147,19 +199,9 @@ def stationary_distribution(p: SparseMatrix,
         res = stationary_residual(p, candidate, counter)
         history.append(res)
         if positive and res <= cfg.tol:
-            return StationaryResult(candidate, res, iteration, counter.count,
-                                    time.perf_counter() - t0, width,
-                                    np.array(history))
-        if res < 0.5 * ref:
-            ref, stalled = res, 0
-        else:
-            stalled += 1
-        if stalled == _STALL_ROUNDS and width < max_width:
-            grown = min(2 * width, max_width)
-            w = np.hstack([w, rng.standard_normal((n, grown - width))])
-            width, ref, stalled = grown, np.inf, 0
+            return candidate, res, iteration, width, history
         q = np.linalg.qr(w)[0]
     raise NumericalError(
         f"stationary iteration did not converge in {cfg.max_iterations} rounds "
-        f"(last residual {history[-1]:.3e}); the final block width {width} may "
+        f"(last residual {history[-1]:.3e}); the block width {width} may "
         "not exceed the chain's period, or the chain may be nearly reducible")

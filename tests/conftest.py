@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpinv.graphgen import random_graph
 from dpinv.sparse import Digraph, SparseMatrix, build_transition
 
 
@@ -40,3 +41,19 @@ def directed_cycle(n: int) -> SparseMatrix:
     """Pure rotation: period n."""
     return SparseMatrix.from_coo(n, n, np.arange(n), (np.arange(n) + 1) % n,
                                  np.ones(n))
+
+
+def weak_bridge_graph(seed, n=250, decades=4.0, bridge=1e-3):
+    """Two preferential-attachment clusters with arc weights 10^U(-d/2, d/2)
+    over ``decades`` decades, joined by one arc each way whose weight is
+    scaled by ``bridge``: strongly connected and nearly reducible."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    a = random_graph(half, extra=half, seed=2 * seed)
+    b = random_graph(n - half, extra=n - half, seed=2 * seed + 1)
+    u, v = rng.integers(0, half, 2), rng.integers(half, n, 2)
+    src = np.concatenate([a.src, b.src + half, [u[0], v[1]]])
+    dst = np.concatenate([a.dst, b.dst + half, [v[0], u[1]]])
+    weight = 10.0 ** rng.uniform(-decades / 2, decades / 2, src.size)
+    weight[-2:] *= bridge
+    return Digraph(n, src, dst, weight)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 import dpinv.cli
+import dpinv.krylov
 import dpinv.sparse
 import dpinv.stationary
 from dpinv.cli import main
-from dpinv.io import read_columns_csv, read_columns_raw, read_edge_list, read_vector
+from dpinv.io import (read_columns_csv, read_columns_raw, read_edge_list, read_vector,
+                      write_edge_list)
 from dpinv.oracle import stationary_direct
 from dpinv.sparse import build_transition
+
+from conftest import weak_bridge_graph
 
 
 @pytest.fixture()
@@ -121,12 +125,34 @@ class TestStationary:
 
     def test_lapack_failure_is_numerical(self, capsys, graph_file, monkeypatch):
         # LinAlgError subclasses ValueError, which alone would mean bad input
-        def broken(_b):
+        def broken(*_args):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         monkeypatch.setattr(dpinv.stationary, "_ritz_vector", broken)
+        code, _, err = run(capsys, ["stationary", str(graph_file), "--ell", "4"])
+        assert code == 3
+        assert "numerical failure: Eigenvalues did not converge" in err
+        # the default path's Hessenberg least squares
+        monkeypatch.setattr(dpinv.krylov, "hessenberg_lsq", broken)
         code, _, err = run(capsys, ["stationary", str(graph_file)])
         assert code == 3
         assert "numerical failure: Eigenvalues did not converge" in err
+
+    def test_long_cycle_solves(self, capsys, tmp_path):
+        # period 200: a subspace block would need more than 200 columns
+        path = tmp_path / "c200.tsv"
+        path.write_text("".join(f"{i} {(i + 1) % 200}\n" for i in range(200)))
+        code, out, _ = run(capsys, ["stationary", str(path)])
+        assert code == 0
+        np.testing.assert_allclose([float(v) for v in out.split()],
+                                   np.full(200, 1.0 / 200), atol=1e-15)
+
+    def test_cycle_cap_is_numerical(self, capsys, tmp_path):
+        # the weak-bridge chain needs tens of GMRES restart cycles
+        path = tmp_path / "bridge.tsv"
+        write_edge_list(weak_bridge_graph(2), path)
+        code, _, err = run(capsys, ["stationary", str(path), "--max-iter", "1"])
+        assert code == 3
+        assert "no convergence in 1 restart cycles" in err
 
     def test_matrix_market_entry_without_value(self, capsys, tmp_path):
         path = tmp_path / "g.mtx"

@@ -1,4 +1,5 @@
-"""Tests for the blocked subspace iteration for stationary distributions."""
+"""Tests for the stationary distribution: shifted GMRES by default, blocked
+subspace iteration at an explicit width."""
 
 import numpy as np
 import pytest
@@ -6,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpinv.stationary
+from dpinv.cli import main
 from dpinv.errors import NumericalError
 from dpinv.graphgen import random_graph
+from dpinv.io import read_vector, write_edge_list
 from dpinv.oracle import stationary_direct
 from dpinv.sparse import Digraph, SparseMatrix, build_transition
 from dpinv.stationary import (SubspaceConfig, _ritz_vector, stationary_distribution,
                               stationary_residual)
 
-from conftest import directed_cycle, lazy_cycle
+from conftest import directed_cycle, lazy_cycle, weak_bridge_graph
 
 
 def star_chain(n):
@@ -184,45 +187,92 @@ class TestPeriodicChains:
 
 
 class TestAdaptiveWidth:
+    """The chains that pinned the adaptive block width of the former
+    subspace default, kept under their names on what replaced it: the
+    default shifted GMRES path, which needs no width, and explicit widths."""
+
     @pytest.mark.parametrize("n", [5, 8, 29])
     def test_directed_cycle_widens_past_period(self, n):
-        # a pure rotation stalls at every width below n; growth must reach
-        # the clamp n, where the projected step is exact
+        # a pure rotation of any period: c 1 solves the shifted system, so
+        # one Arnoldi step is exact (2 setup + 2 step + 2 re-check + 1 check)
         res = stationary_distribution(directed_cycle(n))
         np.testing.assert_allclose(res.pi, np.full(n, 1.0 / n), atol=1e-12)
-        assert res.width == n
+        assert res.mv_count == 7
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_width_stays_at_two_on_random_graphs(self, seed):
+        # a width-2 block converges on aperiodic random graphs at 3
+        # products per round
         p, _ = build_transition(random_graph(200, seed=seed))
-        res = stationary_distribution(p, SubspaceConfig(seed=seed))
+        res = stationary_distribution(p, SubspaceConfig(ell=2, seed=seed))
         assert res.width == 2
         assert res.mv_count == 3 * res.iterations
 
     def test_mv_count_matches_products_while_growing(self, monkeypatch):
-        # each round is one block product over the width's columns plus one
-        # residual product; the count is of operand columns, not calls
-        seen, calls = 0, 0
+        # the count is of operand columns, not calls: polynomial setup,
+        # GMRES steps and re-checks, and the final residual check, over
+        # every re-solve of a rejected candidate
+        seen = 0
         real = dpinv.stationary.matvec_transpose
 
         def counting(m, x, counter=None):
-            nonlocal seen, calls
+            nonlocal seen
             seen += 1 if np.ndim(x) == 1 else np.shape(x)[1]
-            calls += 1
             return real(m, x, counter)
 
         monkeypatch.setattr(dpinv.stationary, "matvec_transpose", counting)
-        res = stationary_distribution(directed_cycle(8))
-        assert res.width == 8
+        res = stationary_distribution(hamiltonian_chain(29, 22, 2024295644),
+                                      SubspaceConfig(tol=1e-11))
+        assert res.iterations > 1
         assert seen == res.mv_count
-        assert calls == 2 * res.iterations
 
-    def test_width_caps_at_thirty(self):
-        # period 40 exceeds the cap, so growth stops at 30 and the failure
-        # names the final width
-        cfg = SubspaceConfig(max_iterations=60)
-        with pytest.raises(NumericalError, match="final block width 30 "):
+
+class TestShiftedGmres:
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_default_solves_cycles_past_thirty(self, n):
+        res = stationary_distribution(directed_cycle(n))
+        np.testing.assert_allclose(res.pi, np.full(n, 1.0 / n), atol=1e-15)
+        assert res.mv_count == 7
+
+    def test_explicit_width_below_period_fails(self):
+        cfg = SubspaceConfig(ell=30, max_iterations=60)
+        with pytest.raises(NumericalError,
+                           match="the block width 30 may not exceed the chain's period"):
             stationary_distribution(directed_cycle(40), cfg)
+
+    def test_negative_candidate_is_solved_again(self):
+        # the first candidate's entry 22 comes out -3.5e-14 against a true
+        # 1.6e-17; tighter re-solves give it the right sign, never a clamp
+        p = hamiltonian_chain(29, 22, 2024295644)
+        res = stationary_distribution(p, SubspaceConfig(tol=1e-11))
+        ref = stationary_direct(p)
+        assert res.pi.min() > 0
+        assert res.residual <= 1e-11
+        assert np.max(np.abs(res.pi - ref)) <= 1e-12
+
+    def test_unreachable_sign_names_the_entry(self):
+        # a birth-death chain drifting 100:1 towards state 0: the far
+        # entries lie below rounding, so no tolerance makes them positive
+        n = 12
+        i = np.arange(n - 1)
+        g = Digraph(n, np.concatenate([i, i + 1]), np.concatenate([i + 1, i]),
+                    np.concatenate([np.full(n - 1, 1e-2), np.ones(n - 1)]))
+        with pytest.raises(NumericalError,
+                           match=r"entry \d+ of the candidate π is -.*reachable floor"):
+            stationary_distribution(build_transition(g)[0])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_weak_bridge_chains(self, seed, tmp_path):
+        # two clusters joined by bridges a thousand times weaker than their
+        # 4-decade weights: GMRES takes up to tens of restart cycles here,
+        # and must finish
+        g = weak_bridge_graph(seed)
+        graph, out = tmp_path / "g.tsv", tmp_path / "pi.txt"
+        write_edge_list(g, graph)
+        assert main(["stationary", str(graph), "--tol", "1e-12", "--out", str(out)]) == 0
+        pi = read_vector(out)
+        assert pi.min() > 0
+        assert stationary_residual(build_transition(g)[0], pi) <= 1e-12
 
 
 class TestRitzVector:
