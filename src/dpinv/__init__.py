@@ -1,8 +1,8 @@
 """Sparse stationary distributions, Laplacian pseudo-inverses, and
 random-walk metrics for strongly connected digraphs."""
 
-from .errors import (DpinvError, GmresNonConvergenceError, InputError,
-                     MissingColumnsError, NumericalError)
+from .errors import (DpinvError, GmresNonConvergenceError, GmresStagnationError,
+                     InputError, MissingColumnsError, NumericalError)
 from .graphgen import GenConfig, preferential_attachment_digraph, random_graph
 from .krylov import GmresConfig, SolveReport, gmres_block
 from .laplacian import (EulerianSystem, GeneralLaplacian, build_laplacian,
@@ -28,7 +28,7 @@ def active_backend() -> str:
 
 __all__ = [
     "DpinvError", "InputError", "NumericalError", "GmresNonConvergenceError",
-    "MissingColumnsError",
+    "GmresStagnationError", "MissingColumnsError",
     "SparseMatrix", "Digraph", "MvCounter", "matvec", "matvec_transpose",
     "build_transition", "is_strongly_connected",
     "strong_connectivity_certificate",

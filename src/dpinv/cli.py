@@ -126,7 +126,8 @@ def cmd_stationary(args) -> int:
     if args.report:
         print(f"iterations={result.iterations} mv={result.mv_count} "
               f"width={result.width} residual={result.residual:.3e} "
-              f"time_ms={result.wall_time * 1e3:.2f}", file=sys.stderr)
+              f"time_ms={result.wall_time * 1e3:.2f} path={result.path}",
+              file=sys.stderr)
     if args.out is None:
         dio._write_rows(sys.stdout, result.pi)
     else:
@@ -386,7 +387,8 @@ def _add_iter_args(p, tol_default=1e-9) -> None:
                    help=f"convergence tolerance (default {tol_default:g})")
     p.add_argument("--max-iter", type=int, default=10_000, dest="max_iter",
                    help="cap on each stationary solve: GMRES restart cycles, "
-                        "or subspace rounds with --ell (default 10000)")
+                        "and subspace rounds with --ell or after GMRES "
+                        "stagnates (default 10000)")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: DPINV_SEED or 0)")
 
@@ -416,7 +418,10 @@ def build_parser() -> _Parser:
                    help="print iteration statistics to stderr: iterations "
                         "are GMRES restart cycles and width the restart "
                         "length, or with --ell subspace rounds and the "
-                        "block width")
+                        "block width; path names the solver that gave pi: "
+                        "gmres, subspace, or gmres+subspace when GMRES "
+                        "stagnated and subspace iteration at width 30 "
+                        "finished (iterations then counts both)")
     p.set_defaults(func=cmd_stationary)
 
     p = sub.add_parser("pinv", help="pseudo-inverse columns of a graph Laplacian")

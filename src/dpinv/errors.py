@@ -20,11 +20,16 @@ class NumericalError(DpinvError):
 
 
 class GmresNonConvergenceError(NumericalError):
-    """Restarted GMRES hit its outer-iteration cap. Carries the partial report."""
+    """Restarted GMRES did not converge: it hit its outer-iteration cap, met
+    its reachable floor, or stagnated. Carries the partial report."""
 
     def __init__(self, message: str, report=None):
         self.report = report
         super().__init__(message)
+
+
+class GmresStagnationError(GmresNonConvergenceError):
+    """Restarted GMRES stopped cutting a column's residual, cycle after cycle."""
 
 
 class MissingColumnsError(DpinvError):

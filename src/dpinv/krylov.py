@@ -2,22 +2,26 @@
 right-hand sides at once.
 
 Each solve is right preconditioned by a polynomial: GMRES runs on A p(A)
-and returns x = p(A) y. p(z) = c₀ + c₁z is fitted once per call, in 2
+and returns x = p(A) y. p(z) = c₀ + c₁z is fitted once per request, in 2
 products, so that 1 − z p(z) is the degree-2 GMRES residual polynomial of a
-fixed seeded vector. An Arnoldi step costs 2 products, and m steps build a
-residual polynomial of degree 2m in A on an m-vector basis, so fewer steps,
-and less orthogonalization, reach the same tolerance.
+fixed seeded vector; a caller that solves one operator in several calls
+fits it once and passes it to each. An Arnoldi step costs 2 products, and
+m steps build a residual polynomial of degree 2m in A on an m-vector basis,
+so fewer steps, and less orthogonalization, reach the same tolerance.
 
 Columns are solved in lockstep batches. Each Arnoldi step applies A p(A) to
 the batch's live columns as a block and orthogonalizes by two classical
 Gram-Schmidt passes as stacked matmuls on a (k, restart + 1, n) basis; a
 column stops inside the cycle once its least-squares residual estimate falls
-below tol. Each cycle ends in one least-squares solve over the stack of
-Hessenbergs (one LAPACK QR, then one stacked solve with the triangular
-factors). Every column keeps its own convergence state, and its residual is
-carried between cycles through the Krylov basis, so a column costs exactly 2
-products per Arnoldi step plus 2 per true-residual re-check, whatever its
-batch.
+below tol, and the rest of the step's bookkeeping runs on the whole batch
+with stopped columns masked out. Each cycle ends in one least-squares solve
+over the stack of Hessenbergs, cut to the steps its longest column took (one
+LAPACK QR, then one stacked solve with the triangular factors). A column
+whose residual stops falling from one restart cycle to the next ends the
+solve with :class:`GmresStagnationError`. Every column keeps its own
+convergence state, and its residual is carried between cycles through the
+Krylov basis, so a column costs exactly 2 products per Arnoldi step plus 2
+per true-residual re-check, whatever its batch.
 
 The operator is a callable ``apply`` that maps an (n, k) block to its image;
 the solvers count one product per column they apply it to.
@@ -31,15 +35,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense import hessenberg_lsq
-from .errors import GmresNonConvergenceError, NumericalError
+from .errors import GmresNonConvergenceError, GmresStagnationError, NumericalError
 
 BREAKDOWN_TOL = 1e-14
 # Bytes one batch's Krylov basis may take; sets how many columns run in lockstep.
 _BASIS_BYTES = 1 << 20
 # Seed of the unit vector the preconditioning polynomial is fitted on.
 _POLY_SEED = 0
-# Products that fit the polynomial, per gmres_block call.
+# Products that fit the polynomial.
 POLY_SETUP_MV = 2
+# A column stagnates when STALL_CYCLES restart cycles in a row each leave
+# its residual above STALL_FACTOR times where the cycle started.
+STALL_CYCLES = 10
+STALL_FACTOR = 0.999
 
 
 @dataclass
@@ -62,10 +70,13 @@ class SolveReport:
     """One column's solve.
 
     ``mv_count`` is 2 products per inner (Arnoldi) step plus 2 per
-    true-residual re-check, including the one made at the restart-cycle cap.
-    The first report of each :func:`gmres_block` call also carries the
-    call's 2 polynomial setup products, so the reports of a call sum to every
-    product it made.
+    true-residual re-check, including the one made at the restart-cycle cap
+    or at a stagnation stop. The first report of each request also carries
+    the request's 2 polynomial setup products, so the reports of a request
+    sum to every product it made: a :func:`gmres_block` call that fits the
+    polynomial itself, or a caller such as
+    :func:`dpinv.laplacian.pinv_columns` that fits it once and passes it to
+    each of its calls.
     """
 
     outer_iterations: int
@@ -99,10 +110,12 @@ def arnoldi_block(apply, V: np.ndarray, H: np.ndarray, beta=None, tol: float = 0
     breakdown. A frozen column takes no further product. Returns the
     per-column step counts and the breakdown mask.
     """
-    k, ell = H.shape[0], H.shape[2]
+    k, ell, n = H.shape[0], H.shape[2], V.shape[2]
     steps = np.full(k, ell)
     live = np.ones(k, dtype=bool)
     broken = np.zeros(k, dtype=bool)
+    # a frozen column's row of w stays zero, which orthogonalizes to nothing
+    w = np.zeros((k, n))
     if beta is not None:
         u = np.zeros((k, ell + 1))
         u[:, 0] = 1.0
@@ -110,37 +123,40 @@ def arnoldi_block(apply, V: np.ndarray, H: np.ndarray, beta=None, tol: float = 0
         # β/‖u‖ < tol once ‖u‖² exceeds (β/tol)²
         limit = (np.asarray(beta, dtype=np.float64) / tol) ** 2
     for j in range(ell):
-        if live.all():
-            w = np.ascontiguousarray(apply(V[:, j].T).T)
-        else:
-            # frozen columns orthogonalize a zero vector, which adds nothing
-            w = np.zeros((k, V.shape[2]))
-            w[live] = apply(V[live, j].T).T
+        w[live] = apply(V[live, j].T).T
         basis = V[:, :j + 1]
+        hcol = H[:, :, j]
         for _ in range(2):
             coeffs = np.matmul(basis, w[:, :, None])[:, :, 0]
             w -= np.matmul(coeffs[:, None, :], basis)[:, 0, :]
-            H[:, :j + 1, j] += coeffs
-        hnext = np.linalg.norm(w, axis=1)
+            hcol[:, :j + 1] += coeffs
+        hnext = np.sqrt(np.einsum("cn,cn->c", w, w))
         broke = live & (hnext <= BREAKDOWN_TOL)
-        steps[broke] = j + 1
-        broken |= broke
-        live &= ~broke
-        if not live.any():
-            break
-        H[live, j + 1, j] = hnext[live]
-        V[live, j + 1] = w[live] / hnext[live, None]
+        if broke.any():
+            steps[broke] = j + 1
+            broken |= broke
+            live &= ~broke
+            hnext[broke] = 0.0
+            w[broke] = 0.0
+            if not live.any():
+                break
+        hcol[:, j + 1] = hnext
+        np.divide(w, hnext[:, None], out=V[:, j + 1], where=live[:, None])
         if beta is None:
             continue
-        # uᵀ H̄ = 0 fixes the next entry of u from column j of H
-        c = np.flatnonzero(live)
-        u[c, j + 1] = -np.einsum("ci,ci->c", u[c, :j + 1], H[c, :j + 1, j]) / hnext[c]
-        unorm2[c] += u[c, j + 1] ** 2
+        # uᵀ H̄ = 0 fixes the next entry of u from column j of H; frozen
+        # columns keep a zero entry
+        unext = u[:, j + 1]
+        np.divide(-np.einsum("ci,ci->c", u[:, :j + 1], hcol[:, :j + 1]), hnext,
+                  out=unext, where=live)
+        unorm2 += unext * unext
         done = live & (unorm2 > limit)
-        steps[done] = j + 1
-        live &= ~done
-        if not live.any():
-            break
+        if done.any():
+            steps[done] = j + 1
+            live &= ~done
+            w[done] = 0.0
+            if not live.any():
+                break
     return steps, broken
 
 
@@ -168,21 +184,25 @@ def gmres_poly(apply, n: int) -> tuple[float, float]:
     return float(c[0]), float(c[1])
 
 
-def gmres_block(apply, b: np.ndarray,
-                cfg: GmresConfig | None = None) -> tuple[np.ndarray, list[SolveReport]]:
+def gmres_block(apply, b: np.ndarray, cfg: GmresConfig | None = None,
+                poly: tuple[float, float] | None = None
+                ) -> tuple[np.ndarray, list[SolveReport]]:
     """Solve A X = B column by column by restarted GMRES, in lockstep batches.
 
     ``apply`` maps an (n, k) block to A times it; ``b`` is (n, m) and the
-    initial guess is zero. The polynomial p of :func:`gmres_poly` is fitted
-    once and GMRES runs on A p(A). Columns run in batches of
-    :func:`batch_width`; within a batch each Arnoldi step is two block
-    products and each column keeps its own convergence state, products and
-    report. Results agree across batch widths to rounding, not bit for bit:
-    batched sums run in another order. ``SolveReport.wall_time`` is the wall
-    time of the column's batch. Raises :class:`GmresNonConvergenceError`
-    with the report of the first failing column, whose last history entry is
-    its true residual, and :class:`NumericalError` when an iterate turns
-    non-finite.
+    initial guess is zero. GMRES runs on A p(A), with p the polynomial of
+    :func:`gmres_poly`. Without ``poly`` it is fitted here and its 2
+    products are charged to the first report; a caller that solves several
+    blocks with one operator fits it once, passes it in, and charges those
+    products itself. Columns run in batches of :func:`batch_width`; within a
+    batch each Arnoldi step is two block products and each column keeps its
+    own convergence state, products and report. Results agree across batch
+    widths to rounding, not bit for bit: batched sums run in another order.
+    ``SolveReport.wall_time`` is the wall time of the column's batch. Raises
+    :class:`GmresNonConvergenceError` with the report of the first failing
+    column, whose last history entry is its true residual
+    (:class:`GmresStagnationError` when its residual has stopped falling),
+    and :class:`NumericalError` when an iterate turns non-finite.
     """
     if cfg is None:
         cfg = GmresConfig()
@@ -199,11 +219,13 @@ def gmres_block(apply, b: np.ndarray,
     if m == 0:
         # no report to charge the polynomial's setup products to
         return x, reports
-    poly = gmres_poly(apply, n)
+    setup = 0
+    if poly is None:
+        poly, setup = gmres_poly(apply, n), POLY_SETUP_MV
     for start in range(0, m, width):
         cols = slice(start, start + width)
-        setup = POLY_SETUP_MV if start == 0 else 0
-        xb, reps = _gmres_batch(apply, poly, b[:, cols].T, cfg, V, H, setup)
+        xb, reps = _gmres_batch(apply, poly, b[:, cols].T, cfg, V, H,
+                                setup if start == 0 else 0)
         x[:, cols] = xb.T
         reports += reps
     return x, reports
@@ -218,8 +240,10 @@ def _gmres_batch(apply, poly, b, cfg, V, H, setup_mv):
     and those that pass leave the batch with that x. A failed re-check
     restarts the column from its true residual and records that residual;
     two failed re-checks in a row without halving it end the solve, since
-    the tolerance then lies below the reachable floor. The first column is
-    charged ``setup_mv`` products.
+    the tolerance then lies below the reachable floor. So do STALL_CYCLES
+    cycles in a row that each leave a column's residual above STALL_FACTOR
+    times where the cycle started: restarted GMRES has stagnated there. The
+    first column is charged ``setup_mv`` products.
     """
     t0 = time.perf_counter()
     c0, c1 = poly
@@ -243,6 +267,7 @@ def _gmres_batch(apply, poly, b, cfg, V, H, setup_mv):
     outer = np.zeros(k, dtype=np.int64)
     inner = np.zeros(k, dtype=np.int64)
     last_miss = np.full(k, np.inf)   # true residual of a failed re-check last cycle
+    flat = np.zeros(k, dtype=np.int64)  # cycles in a row that missed STALL_FACTOR
     active = ~(beta < cfg.tol)
 
     def report(c: int, wall: float | None = None) -> SolveReport:
@@ -250,18 +275,20 @@ def _gmres_batch(apply, poly, b, cfg, V, H, setup_mv):
         return SolveReport(int(outer[c]), int(inner[c]), int(mv[c]),
                            np.array(history[c]), wall)
 
+    def fail(c: int, error, why: str):
+        # quote the true residual: the last cycle may have made no re-check
+        xc = solution(y_acc[c][None])
+        history[c][-1] = float(np.linalg.norm(b[c] - apply(xc.T)[:, 0]))
+        mv[c] += 2
+        raise error(f"{why} (residual {history[c][-1]:.3e}, tol {cfg.tol:.1e})",
+                    report(c))
+
     cycle = 0
     while active.any():
         act = np.flatnonzero(active)
         if cycle == cfg.max_outer:
-            # quote the true residual: the last cycle may have made no re-check
-            c = int(act[0])
-            xc = solution(y_acc[c][None])
-            history[c][-1] = float(np.linalg.norm(b[c] - apply(xc.T)[:, 0]))
-            mv[c] += 2
-            raise GmresNonConvergenceError(
-                f"no convergence in {cfg.max_outer} restart cycles "
-                f"(residual {history[c][-1]:.3e}, tol {cfg.tol:.1e})", report(c))
+            fail(int(act[0]), GmresNonConvergenceError,
+                 f"no convergence in {cfg.max_outer} restart cycles")
         cycle += 1
         Vb, Hb = V[:act.size], H[:act.size]
         Hb.fill(0.0)
@@ -270,12 +297,15 @@ def _gmres_batch(apply, poly, b, cfg, V, H, setup_mv):
         outer[act] += 1
         inner[act] += steps
         mv[act] += 2 * steps
-        yb, rnorm = hessenberg_lsq(Hb, beta[act], steps)
+        # only the leading (m + 1, m) block of the stack is in use
+        m = int(steps.max())
+        Hm = Hb[:, :m + 1, :m]
+        yb, rnorm = hessenberg_lsq(Hm, beta[act], steps)
         # yb is zero past each column's steps, so stale basis rows add nothing
-        y_acc[act] += np.matmul(yb[:, None, :], Vb[:, :-1])[:, 0]
-        coeffs = -np.matmul(Hb, yb[:, :, None])[:, :, 0]
+        y_acc[act] += np.matmul(yb[:, None, :], Vb[:, :m])[:, 0]
+        coeffs = -np.matmul(Hm, yb[:, :, None])[:, :, 0]
         coeffs[:, 0] += beta[act]
-        r_carried = np.matmul(coeffs[:, None, :], Vb)[:, 0]
+        r_carried = np.matmul(coeffs[:, None, :], Vb[:, :m + 1])[:, 0]
         if not np.all(np.isfinite(rnorm)) or not np.all(np.isfinite(y_acc[act])):
             raise NumericalError("GMRES iterate diverged (non-finite values)")
         for c, v in zip(act, rnorm):
@@ -283,6 +313,13 @@ def _gmres_batch(apply, poly, b, cfg, V, H, setup_mv):
         # a breakdown that left the residual where it was would repeat on
         # every restart: re-check it, and the stall test below ends the solve
         check = (rnorm < cfg.tol) | (broke & (rnorm >= beta[act]))
+        slow = ~check & (rnorm > STALL_FACTOR * beta[act])
+        flat[act] = np.where(slow, flat[act] + 1, 0)
+        stalled = act[flat[act] >= STALL_CYCLES]
+        if stalled.size:
+            fail(int(stalled[0]), GmresStagnationError,
+                 f"stagnated: {STALL_CYCLES} restart cycles in a row each cut "
+                 f"the residual by less than a factor {STALL_FACTOR}")
         go = act[~check]
         r[go] = r_carried[~check]
         beta[go] = np.linalg.norm(r[go], axis=1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .krylov import GmresConfig, SolveReport, gmres_block
+from .krylov import POLY_SETUP_MV, GmresConfig, SolveReport, gmres_block, gmres_poly
 from .sparse import (Digraph, SparseMatrix, matvec, matvec_transpose,
                      row_sums, scale_rows_cols, strong_connectivity_certificate)
 from .stationary import StationaryResult, SubspaceConfig, stationary_distribution
@@ -30,9 +30,8 @@ EULERIAN_KINDS = ("r", "d")
 ALL_KINDS = ("r", "a", "p", "d")
 NULL_TOL = 1e-8
 # Bytes of unit right-hand sides pinv_columns hands to one solve call: about
-# two lockstep batches at the default restart, so the polynomial fit (2
-# products per call) stays small while the chunk's right-hand sides,
-# iterates and temporaries add little to peak memory.
+# two lockstep batches at the default restart, so the chunk's right-hand
+# sides, iterates and temporaries add little to peak memory.
 _RHS_BYTES = 1 << 16
 
 
@@ -130,17 +129,8 @@ def eulerian_system(p: SparseMatrix, pi: np.ndarray, kind: str,
     return EulerianSystem(kind, l, u, pi, float(shift_alpha))
 
 
-def pinv_apply(sys: EulerianSystem, z: np.ndarray,
-               cfg: GmresConfig | None = None) -> tuple[np.ndarray, list[SolveReport]]:
-    """The pseudo-inverse applied to each column of an (n, k) block z.
-
-    Solves (L + alpha u uᵀ) X = z in one lockstep block and removes the
-    null-space component: the pseudo-inverse action is X - u (uᵀz) / alpha.
-    Returns X with one report per column.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] != sys.l.n_rows:
-        raise ValueError(f"right-hand sides must form an ({sys.l.n_rows}, k) block")
+def _shifted_operator(sys: EulerianSystem):
+    """The block map x -> (L + alpha u uᵀ) x, one sparse product per block."""
     u, alpha = sys.u, sys.shift_alpha
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -151,9 +141,25 @@ def pinv_apply(sys: EulerianSystem, z: np.ndarray,
         shift += np.multiply.outer(alpha * (u @ x), u)
         return out
 
-    null_part = (u @ z) / alpha
-    x, reports = gmres_block(apply, z, cfg)
-    x -= np.outer(u, null_part)
+    return apply
+
+
+def pinv_apply(sys: EulerianSystem, z: np.ndarray, cfg: GmresConfig | None = None,
+               poly: tuple[float, float] | None = None
+               ) -> tuple[np.ndarray, list[SolveReport]]:
+    """The pseudo-inverse applied to each column of an (n, k) block z.
+
+    Solves (L + alpha u uᵀ) X = z in one lockstep block and removes the
+    null-space component: the pseudo-inverse action is X - u (uᵀz) / alpha.
+    ``poly`` is passed on to :func:`gmres_block`. Returns X with one report
+    per column.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] != sys.l.n_rows:
+        raise ValueError(f"right-hand sides must form an ({sys.l.n_rows}, k) block")
+    null_part = (sys.u @ z) / sys.shift_alpha
+    x, reports = gmres_block(_shifted_operator(sys), z, cfg, poly)
+    x -= np.outer(sys.u, null_part)
     return x, reports
 
 
@@ -161,9 +167,11 @@ def pinv_columns(sys: EulerianSystem, indices,
                  cfg: GmresConfig | None = None) -> tuple[np.ndarray, list[SolveReport]]:
     """A block of pseudo-inverse columns, solved a bounded chunk at a time.
 
-    Each chunk is one :func:`pinv_apply` call, which runs it in lockstep
-    batches. All indices are checked before any solve starts. Returns the
-    columns in the order given, with one report per column.
+    All indices are checked before any solve starts. The GMRES polynomial is
+    fitted once for the request and its 2 products are charged to the first
+    report, so the reports sum to every product the request made. Each chunk
+    is one :func:`pinv_apply` call, which runs it in lockstep batches.
+    Returns the columns in the order given, with one report per column.
     """
     idx = [int(j) for j in indices]
     n = sys.l.n_rows
@@ -173,13 +181,17 @@ def pinv_columns(sys: EulerianSystem, indices,
     width = max(1, _RHS_BYTES // (8 * n))
     block = np.empty((n, len(idx)))
     reports: list[SolveReport] = []
+    if not idx:
+        return block, reports
+    poly = gmres_poly(_shifted_operator(sys), n)
     # a bounded chunk at a time, so that only the output block is full size
     for start in range(0, len(idx), width):
         part = idx[start:start + width]
         e = np.zeros((n, len(part)))
         e[part, np.arange(len(part))] = 1.0
-        block[:, start:start + width], reps = pinv_apply(sys, e, cfg)
+        block[:, start:start + width], reps = pinv_apply(sys, e, cfg, poly)
         reports += reps
+    reports[0].mv_count += POLY_SETUP_MV
     return block, reports
 
 

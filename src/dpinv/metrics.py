@@ -51,15 +51,17 @@ class PinvBlock:
         return float(col[i])
 
     def full_matrix(self) -> np.ndarray:
-        missing = [j for j in range(self.n) if j not in self.columns]
-        if missing:
-            raise MissingColumnsError(
-                f"full matrix requires every column; missing {missing[:8]}"
-                f"{'...' if len(missing) > 8 else ''}")
-        m = np.empty((self.n, self.n))
-        for j in range(self.n):
-            m[:, j] = self.columns[j]
-        return m
+        return np.column_stack(_all_columns(self))
+
+
+def _all_columns(block: PinvBlock) -> list[np.ndarray]:
+    """Every column of the block, in order, without copying them."""
+    missing = [j for j in range(block.n) if j not in block.columns]
+    if missing:
+        raise MissingColumnsError(
+            f"full matrix requires every column; missing {missing[:8]}"
+            f"{'...' if len(missing) > 8 else ''}")
+    return [block.columns[j] for j in range(block.n)]
 
 
 def _clamp_nonneg(value: float, what: str) -> float:
@@ -82,20 +84,25 @@ def _n_entry(block: PinvBlock, i: int, j: int) -> float:
     return block.entry(i, j) / _root(block, i) / _root(block, j)
 
 
-def _w(block: PinvBlock) -> np.ndarray:
-    """w = N π. For kind "d" it is exactly 0, since √π spans both null
-    spaces of L_d⁺, so no column is read; for kind "r" it needs them all."""
+def _w(block: PinvBlock, idx=None) -> np.ndarray:
+    """w = N π, or its entries at the nodes ``idx``. For kind "d" it is
+    exactly 0, since √π spans both null spaces of L_d⁺, so no column is
+    read. For kind "r" it reads every column but copies none: the entries at
+    ``idx`` read those entries of each column."""
     if block.kind == "d":
-        return np.zeros(block.n)
-    return block.full_matrix() @ block.pi
+        return np.zeros(block.n if idx is None else len(idx))
+    cols = _all_columns(block)
+    if idx is None:
+        return sum(pj * col for pj, col in zip(block.pi, cols))
+    return block.pi @ np.array([[col[i] for i in idx] for col in cols])
 
 
 def hitting_time(block: PinvBlock, i: int, k: int) -> float:
     """Expected steps from i to the first arrival at k."""
     if i == k:
         return 0.0
-    w = _w(block)
-    return float(_n_entry(block, k, k) - _n_entry(block, i, k) + w[i] - w[k])
+    wi, wk = _w(block, (i, k))
+    return float(_n_entry(block, k, k) - _n_entry(block, i, k) + wi - wk)
 
 
 def commute_time(block: PinvBlock, i: int, k: int) -> float:

@@ -9,10 +9,15 @@ its in-cycle stop. With c = 1/n the system
 has exactly one solution for an irreducible P, and π = x / 1ᵀx. If r is the
 GMRES residual, then x − Pᵀx = −(I − 1 1ᵀ/n) r, so ‖Pᵀπ − π‖₂ ≤ ‖r‖₂ / 1ᵀx.
 GMRES therefore runs to tol/2, and one counted product checks
-‖Pᵀπ − π‖₂ ≤ tol at the end. A candidate with an entry that is not positive,
-or one that fails the check, is solved again at a 100 times tighter GMRES
-tolerance. Entries are never clamped: when GMRES cannot reach the tighter
-tolerance, the solve fails with a message that names the entry.
+‖Pᵀπ − π‖₂ ≤ tol at the end. The polynomial is fitted once per π solve. A
+candidate x with an entry that is not positive, or one that fails the check,
+is corrected: GMRES solves A d = c 1 − A x to a tolerance 100 times below
+both the last one and that residual, and x + d is the next candidate.
+Entries are never clamped: when a correction does not bring the residual
+below the tolerance it was solved to, the reachable floor is met, and the
+solve fails with a message that names the entry. When GMRES stagnates (see
+:class:`dpinv.errors.GmresStagnationError`), as restarted GMRES can on
+nearly reducible chains, subspace iteration at width 30 takes over.
 
 An explicit block width ``ell`` selects blocked subspace iteration instead.
 Each round is textbook subspace iteration: apply Pᵀ to an orthonormal block
@@ -28,17 +33,19 @@ which point the step is exact. A round costs width + 1 products.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GmresNonConvergenceError, NumericalError
-from .krylov import GmresConfig, gmres_block
+from .errors import GmresNonConvergenceError, GmresStagnationError, NumericalError
+from .krylov import GmresConfig, gmres_block, gmres_poly
 from .sparse import MvCounter, SparseMatrix, matvec_transpose, row_sums
 
 _SEED_STREAM_START_BLOCK = 3
-# GMRES tolerance divisor for each re-solve of a rejected candidate.
+# Residual cut asked of each correction of a rejected candidate.
 _RETRY_FACTOR = 100.0
+# Block width of the subspace iteration that takes over when GMRES stagnates.
+_FALLBACK_WIDTH = 30
 
 
 @dataclass
@@ -47,7 +54,8 @@ class SubspaceConfig:
     # with that fixed block width, clamped to the state count
     ell: int | None = None
     tol: float = 1e-9           # tolerance on ‖Pᵀπ − π‖₂
-    # GMRES restart cycles per solve, or subspace rounds with ell
+    # GMRES restart cycles per solve, and subspace rounds with ell or after
+    # GMRES stagnates
     max_iterations: int = 10000
     seed: int = 0               # start block of subspace iteration; unused by GMRES
 
@@ -64,13 +72,17 @@ class SubspaceConfig:
 class StationaryResult:
     pi: np.ndarray
     residual: float
-    iterations: int             # GMRES restart cycles, or subspace rounds
+    iterations: int             # GMRES restart cycles plus subspace rounds
     mv_count: int
     wall_time: float
     # GMRES restart length, the most basis vectors a cycle builds; or the
-    # subspace block width
+    # subspace block width when subspace iteration ran
     width: int
-    # GMRES residual ‖c 1 − A x‖₂ after each cycle, or ‖Pᵀπ − π‖₂ after
+    # the solver that gave π: "gmres", "subspace" (an explicit ell),
+    # "gmres+subspace" (GMRES stagnated and subspace iteration finished), or
+    # "none" for a one-state chain
+    path: str
+    # GMRES residual ‖c 1 − A x‖₂ after each cycle, then ‖Pᵀπ − π‖₂ after
     # each subspace round
     residual_history: np.ndarray = field(repr=False, default=None)
 
@@ -125,9 +137,10 @@ def stationary_distribution(p: SparseMatrix,
     Returns π with positive entries summing to 1 and ‖Pᵀπ − π‖₂ ≤ tol.
     Raises :class:`NumericalError` when the solve fails: with ``cfg.ell``
     left at None when GMRES reaches its restart-cycle cap or cannot reach a
-    tolerance that gives positive entries, and with an explicit ``ell``
-    when the round cap is reached, which for a valid chain usually means
-    the block width does not exceed the chain's period.
+    tolerance that gives positive entries, or its subspace fallback fails;
+    and with an explicit ``ell`` when the round cap is reached, which for a
+    valid chain usually means the block width does not exceed the chain's
+    period.
     """
     if cfg is None:
         cfg = SubspaceConfig()
@@ -135,12 +148,12 @@ def stationary_distribution(p: SparseMatrix,
     t0 = time.perf_counter()
     if p.n_rows == 1:
         return StationaryResult(np.ones(1), 0.0, 0, 0, time.perf_counter() - t0,
-                                1, np.zeros(0))
+                                1, "none", np.zeros(0))
     counter = MvCounter()
     solve = _shifted_gmres if cfg.ell is None else _subspace_iteration
-    pi, res, iterations, width, history = solve(p, cfg, counter)
+    pi, res, iterations, width, history, path = solve(p, cfg, counter)
     return StationaryResult(pi, res, iterations, counter.count,
-                            time.perf_counter() - t0, width, np.array(history))
+                            time.perf_counter() - t0, width, path, np.array(history))
 
 
 def _shifted_gmres(p: SparseMatrix, cfg: SubspaceConfig, counter: MvCounter):
@@ -153,31 +166,59 @@ def _shifted_gmres(p: SparseMatrix, cfg: SubspaceConfig, counter: MvCounter):
 
     b = np.full((n, 1), c)
     gcfg = GmresConfig(tol=0.5 * cfg.tol, max_outer=cfg.max_iterations)
+    poly = gmres_poly(apply, n)
+    x, r = np.zeros(n), b
     cycles, history, rejected = 0, [], None
     while True:
         try:
-            x, (rep,) = gmres_block(apply, b, gcfg)
+            d, (rep,) = gmres_block(apply, r, gcfg, poly)
+        except GmresStagnationError as exc:
+            history += list(exc.report.residual_history[1:])
+            return _fallback(p, cfg, counter, cycles + exc.report.outer_iterations,
+                             history, exc)
         except GmresNonConvergenceError as exc:
             if rejected is None:
                 raise NumericalError(f"stationary solve: {exc}") from exc
             raise NumericalError(
-                f"stationary solve: {rejected}, and the re-solve at GMRES "
+                f"stationary solve: {rejected}, and its correction at GMRES "
                 f"tolerance {gcfg.tol:.1e} failed: {exc}") from exc
         cycles += rep.outer_iterations
         history += list(rep.residual_history[1:])
-        x = x[:, 0]
+        x += d[:, 0]
         total = x.sum()
         # at a tolerance above ‖c 1‖₂ GMRES returns x = 0, which is rejected
         pi = x / total if total > 0.0 else x
         res = stationary_residual(p, pi, counter)
         if total > 0.0 and pi.min() > 0.0 and res <= cfg.tol:
-            return pi, res, cycles, gcfg.restart, history
+            return pi, res, cycles, gcfg.restart, history, "gmres"
         j = int(pi.argmin())
         if pi[j] <= 0.0:
             rejected = f"entry {j} of the candidate π is {pi[j]:.3e}"
         else:
             rejected = f"the candidate π has residual {res:.3e} > tol {cfg.tol:.1e}"
-        gcfg = GmresConfig(tol=gcfg.tol / _RETRY_FACTOR, max_outer=cfg.max_iterations)
+        # solve for the correction from the residual x leaves, at a tighter
+        # tolerance, rather than for x again from zero
+        r = b - apply(x[:, None])
+        rnorm = float(np.linalg.norm(r))
+        if not 0.0 < rnorm < gcfg.tol:
+            raise NumericalError(
+                f"stationary solve: {rejected}, and no correction can help (its "
+                f"residual is {rnorm:.3e} against GMRES tolerance {gcfg.tol:.1e}): "
+                "a tighter tolerance is below the reachable floor")
+        gcfg = GmresConfig(tol=min(gcfg.tol, rnorm) / _RETRY_FACTOR,
+                           max_outer=cfg.max_iterations)
+
+
+def _fallback(p: SparseMatrix, cfg: SubspaceConfig, counter: MvCounter,
+              cycles: int, history: list, stall: GmresStagnationError):
+    """π by subspace iteration at width _FALLBACK_WIDTH once GMRES stagnated."""
+    sub = replace(cfg, ell=_FALLBACK_WIDTH)
+    try:
+        pi, res, rounds, width, rounds_history, _ = _subspace_iteration(p, sub, counter)
+    except NumericalError as exc:
+        raise NumericalError(f"stationary solve: GMRES {stall}, and the subspace "
+                             f"fallback failed: {exc}") from exc
+    return pi, res, cycles + rounds, width, history + rounds_history, "gmres+subspace"
 
 
 def _subspace_iteration(p: SparseMatrix, cfg: SubspaceConfig, counter: MvCounter):
@@ -199,7 +240,7 @@ def _subspace_iteration(p: SparseMatrix, cfg: SubspaceConfig, counter: MvCounter
         res = stationary_residual(p, candidate, counter)
         history.append(res)
         if positive and res <= cfg.tol:
-            return candidate, res, iteration, width, history
+            return candidate, res, iteration, width, history, "subspace"
         q = np.linalg.qr(w)[0]
     raise NumericalError(
         f"stationary iteration did not converge in {cfg.max_iterations} rounds "

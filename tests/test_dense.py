@@ -69,6 +69,28 @@ class TestHessenbergLsq:
             assert abs(res[b] - np.linalg.norm(rhs - block @ ys[b, :s])) <= 1e-13 * beta[b]
         assert ys[3, 0] == 0.0 and res[3] == beta[3]
 
+    def test_leading_block_matches_padded_stack(self):
+        # GMRES hands over only the leading (m + 1, m) block, m the most
+        # steps any matrix took: the same y and residuals as the zero-padded
+        # 30-column stack, to rounding, with mixed steps and a zero pivot
+        rng = np.random.default_rng(37)
+        k = 30
+        h = np.triu(rng.normal(size=(6, k + 1, k)), k=-1)
+        h[4, :, 0] = 0.0
+        beta = rng.uniform(0.5, 2.0, size=6)
+        steps = np.array([3, 12, 1, 16, 5, 16])
+        for b, s in enumerate(steps):
+            h[b, :, s:] = 0.0
+            h[b, s + 1:, :] = 0.0
+        m = int(steps.max())
+        y_full, res_full = hessenberg_lsq(h, beta, steps)
+        y_lead, res_lead = hessenberg_lsq(h[:, :m + 1, :m], beta, steps)
+        assert y_lead.shape == (6, m)
+        np.testing.assert_allclose(y_lead, y_full[:, :m], rtol=1e-12, atol=1e-14)
+        assert np.all(y_full[:, m:] == 0.0)
+        np.testing.assert_allclose(res_lead, res_full, rtol=1e-12, atol=1e-15)
+        assert res_lead[4] == beta[4]
+
     def test_not_hessenberg_rejected(self):
         h = np.ones((4, 3))
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dpinv.dense import hessenberg_lsq
-from dpinv.errors import GmresNonConvergenceError
+from dpinv.errors import GmresNonConvergenceError, GmresStagnationError
 from dpinv.graphgen import random_graph
-from dpinv.krylov import POLY_SETUP_MV, GmresConfig, arnoldi_block, gmres_block
+from dpinv.krylov import (POLY_SETUP_MV, STALL_CYCLES, STALL_FACTOR, GmresConfig,
+                          arnoldi_block, gmres_block)
 from dpinv.laplacian import eulerian_system, pinv_columns
 from dpinv.sparse import (MvCounter, SparseMatrix, build_transition, matvec,
                           matvec_transpose)
@@ -188,18 +189,17 @@ class TestGmres:
         assert rep.outer_iterations == 0
 
     def test_nonconvergence_carries_report(self):
-        # an orthogonal rotation-heavy matrix with restart=1 stalls: each
-        # 1-dimensional Krylov correction is orthogonal to the residual. No
-        # cycle reaches tol, so none re-checks its residual; the cap must
-        # quote the true residual of the final iterate, made by two more
-        # counted products: A y for x = p(A) y, then A x
-        n = 6
-        perm = np.roll(np.eye(n), 1, axis=0)
-        b = np.zeros(n)
-        b[0] = 1.0
-        b[1] = -1.0
+        # GMRES(1) on an SPD diagonal of condition 100 cuts the residual by
+        # a factor 0.35-0.91 per cycle: progress the stagnation stop leaves
+        # alone, too slow to reach tol in 20 cycles. No cycle reaches tol, so
+        # none re-checks its residual; the cap must quote the true residual
+        # of the final iterate, made by two more counted products: A y for
+        # x = p(A) y, then A x
+        n = 10
+        a = np.diag(np.geomspace(1.0, 100.0, n))
+        b = np.random.default_rng(0).standard_normal(n)
         operands = []
-        dense = dense_operator(perm)
+        dense = dense_operator(a)
 
         def recording(x):
             operands.append(np.array(x))
@@ -207,15 +207,44 @@ class TestGmres:
 
         with pytest.raises(GmresNonConvergenceError) as exc:
             gmres_one(recording, b, cfg=GmresConfig(restart=1, tol=1e-12, max_outer=20))
+        assert not isinstance(exc.value, GmresStagnationError)
         rep = exc.value.report
         assert rep.outer_iterations == 20
         assert rep.residual_history[-1] > 1e-12
-        true = float(np.linalg.norm(b - perm @ operands[-1][:, 0]))
+        true = float(np.linalg.norm(b - a @ operands[-1][:, 0]))
         assert rep.residual_history[-1] == true
         assert f"residual {true:.3e}" in str(exc.value)
         assert rep.mv_count == 2 * rep.inner_iterations_total + 2 + POLY_SETUP_MV
         assert rep.mv_count == dense.counter.count
         assert len(rep.residual_history) == rep.outer_iterations + 1
+
+    def test_flat_residual_stagnates(self):
+        # GMRES(1) on a cyclic shift: each 1-dimensional Krylov correction is
+        # orthogonal to the residual, which stays flat. The stop ends the
+        # solve after STALL_CYCLES such cycles, long before the cap, and
+        # quotes the true residual like the cap does
+        n = 6
+        perm = np.roll(np.eye(n), 1, axis=0)
+        b = np.zeros(n)
+        b[0], b[1] = 1.0, -1.0
+        operands = []
+        dense = dense_operator(perm)
+
+        def recording(x):
+            operands.append(np.array(x))
+            return dense(x)
+
+        with pytest.raises(GmresStagnationError, match="stagnated") as exc:
+            gmres_one(recording, b, cfg=GmresConfig(restart=1, tol=1e-12, max_outer=300))
+        rep = exc.value.report
+        h = rep.residual_history
+        assert rep.outer_iterations < 2 * STALL_CYCLES
+        # the last entry is the true residual; the cycles before it each cut
+        # the residual by less than STALL_FACTOR
+        assert np.all(h[-STALL_CYCLES:-1] > STALL_FACTOR * h[-STALL_CYCLES - 1:-2])
+        assert h[-1] == float(np.linalg.norm(b - perm @ operands[-1][:, 0]))
+        assert rep.mv_count == 2 * rep.inner_iterations_total + 2 + POLY_SETUP_MV
+        assert rep.mv_count == dense.counter.count
 
     def test_restart_one_still_converges_on_spd(self):
         op, a = random_spd_operator(10, 23)
@@ -275,22 +304,36 @@ class TestGmresBlock:
         assert all(r.inner_iterations_total > 1 for c, r in enumerate(reps) if c != 2)
 
     def test_unconvergeable_column_raises_with_its_report(self):
-        # a cyclic shift on the first 6 coordinates stalls GMRES(1) for
-        # e0 - e1; the other right-hand sides live in an SPD block
+        # the middle right-hand side lives in the first 6 coordinates, the
+        # others in an SPD block. A rotation by 80 degrees in the plane of
+        # e0 and e1 lets GMRES(1) cut that column's residual by only a
+        # factor 0.982 per cycle, too slowly to reach tol in 300 cycles, and
+        # the cap reports it; on a cyclic shift there its residual is flat,
+        # and the stagnation stop reports it instead
         n = 16
         a = np.zeros((n, n))
-        a[:6, :6] = np.roll(np.eye(6), 1, axis=0)
+        t = np.radians(80.0)
+        a[:6, :6] = np.eye(6)
+        a[:2, :2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
         a[6:, 6:] = random_spd_operator(n - 6, 29)[1]
-        op = dense_operator(a)
         rng = np.random.default_rng(30)
         b = np.zeros((n, 3))
         b[6:, 0] = rng.normal(size=n - 6)
         b[0, 1], b[1, 1] = 1.0, -1.0
         b[6:, 2] = rng.normal(size=n - 6)
+        cfg = GmresConfig(restart=1, tol=1e-12, max_outer=300)
         with pytest.raises(GmresNonConvergenceError) as exc:
-            gmres_block(op, b, GmresConfig(restart=1, tol=1e-12, max_outer=300))
+            gmres_block(dense_operator(a), b, cfg)
+        assert not isinstance(exc.value, GmresStagnationError)
         rep = exc.value.report
         assert rep.outer_iterations == 300
+        assert abs(rep.residual_history[0] - np.sqrt(2.0)) < 1e-14
+        assert rep.residual_history[-1] > 1e-12
+        a[:6, :6] = np.roll(np.eye(6), 1, axis=0)
+        with pytest.raises(GmresStagnationError) as exc:
+            gmres_block(dense_operator(a), b, cfg)
+        rep = exc.value.report
+        assert rep.outer_iterations < 2 * STALL_CYCLES
         assert abs(rep.residual_history[0] - np.sqrt(2.0)) < 1e-14
         assert rep.residual_history[-1] > 1e-12
 

@@ -7,7 +7,7 @@ import dpinv.krylov
 import dpinv.laplacian
 from dpinv.errors import GmresNonConvergenceError, InputError, NumericalError
 from dpinv.graphgen import random_graph
-from dpinv.krylov import GmresConfig
+from dpinv.krylov import POLY_SETUP_MV, GmresConfig
 from dpinv.laplacian import (
     EulerianSystem,
     GeneralLaplacian,
@@ -179,7 +179,7 @@ class TestPinvColumns:
         applies, products = [], []
         inner = dpinv.laplacian.matvec
 
-        def capture(apply, b, cfg=None):
+        def capture(apply, b, cfg=None, poly=None):
             applies.append(apply)
             return np.zeros_like(b), []
 
@@ -250,6 +250,55 @@ class TestBatchedColumns:
         assert len(reports) == 24
         assert sum(r.mv_count for r in reports) == sum(seen)
         assert max(seen) == 7
+
+    def test_one_polynomial_fit_per_request(self, monkeypatch):
+        # a request split into several chunks fits p once, in 2 products
+        # charged to its first report; the reports still sum to every
+        # operand column the request applied
+        p, _, pi = graph_system(120, seed=4, extra=120)
+        sysk = eulerian_system(p, pi, "d")
+        seen, fits = [], []
+        inner = dpinv.laplacian.matvec
+        fit = dpinv.laplacian.gmres_poly
+
+        def counting(m, x, counter=None):
+            seen.append(1 if np.ndim(x) == 1 else np.shape(x)[1])
+            return inner(m, x, counter)
+
+        def fitting(apply, n):
+            before = sum(seen)
+            poly = fit(apply, n)
+            fits.append(sum(seen) - before)
+            return poly
+
+        monkeypatch.setattr(dpinv.laplacian, "matvec", counting)
+        monkeypatch.setattr(dpinv.laplacian, "gmres_poly", fitting)
+        monkeypatch.setattr(dpinv.laplacian, "_RHS_BYTES", 5 * 8 * 120)
+        cols = list(range(0, 120, 6))
+        block, reports = pinv_columns(sysk, cols, GmresConfig(tol=1e-11))
+        assert fits == [POLY_SETUP_MV]
+        assert len(reports) == 20
+        assert sum(r.mv_count for r in reports) == sum(seen)
+        # with the fit charged up front, every chunk's columns cost the
+        # same as they do in one unchunked request
+        monkeypatch.setattr(dpinv.laplacian, "_RHS_BYTES", 1 << 16)
+        whole, whole_reps = pinv_columns(sysk, cols, GmresConfig(tol=1e-11))
+        assert [r.mv_count for r in reports] == [r.mv_count for r in whole_reps]
+        assert np.max(np.abs(block - whole)) < 1e-9
+
+    def test_empty_request_makes_no_product(self, monkeypatch):
+        p, _, pi = graph_system(30, seed=5)
+        sysk = eulerian_system(p, pi, "d")
+        seen = []
+        inner = dpinv.laplacian.matvec
+
+        def counting(m, x, counter=None):
+            seen.append(np.shape(x))
+            return inner(m, x, counter)
+
+        monkeypatch.setattr(dpinv.laplacian, "matvec", counting)
+        block, reports = pinv_columns(sysk, [])
+        assert block.shape == (30, 0) and reports == [] and seen == []
 
     def test_unreachable_tolerance_stops_early(self, monkeypatch):
         # with z = 1e8 e0 the true residual floors near 1e-8 while the

@@ -117,6 +117,31 @@ class TestIdentities:
             for i in range(p.n_rows):
                 assert abs(hitting_time(bd, i, k) - ref[i]) < 1e-8
 
+    def test_kind_r_reads_no_full_matrix(self, case, monkeypatch):
+        # w = M π for kind r is read entry by entry: many hitting times and
+        # the Kemeny constant build no n x n copy of the block, and give the
+        # values of the full-matrix formula
+        p, br, _, pi = case
+        m = br.full_matrix()
+        w = m @ pi
+        calls = []
+        real = PinvBlock.full_matrix
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(PinvBlock, "full_matrix", counting)
+        for i in range(p.n_rows):
+            for k in range(p.n_rows):
+                want = 0.0 if i == k else m[k, k] - m[i, k] + w[i] - w[k]
+                assert abs(hitting_time(br, i, k) - want) < 1e-12
+        assert abs(kemeny_constant(br) - (pi @ m.diagonal() - pi @ w)) < 1e-12
+        assert calls == []
+        partial = PinvBlock("r", pi, {j: m[:, j] for j in range(p.n_rows - 1)})
+        with pytest.raises(MissingColumnsError, match="full matrix"):
+            hitting_time(partial, 0, 1)
+
     def test_commute_is_symmetric_sum(self, case):
         p, br, bd, _ = case
         for block in (br, bd):

@@ -242,18 +242,23 @@ class TestShiftedGmres:
 
     def test_negative_candidate_is_solved_again(self):
         # the first candidate's entry 22 comes out -3.5e-14 against a true
-        # 1.6e-17; tighter re-solves give it the right sign, never a clamp
+        # 1.6e-17; corrections at tighter tolerances give it the right sign,
+        # never a clamp
         p = hamiltonian_chain(29, 22, 2024295644)
         res = stationary_distribution(p, SubspaceConfig(tol=1e-11))
         ref = stationary_direct(p)
         assert res.pi.min() > 0
         assert res.residual <= 1e-11
         assert np.max(np.abs(res.pi - ref)) <= 1e-12
+        # re-solving x from zero at each tighter tolerance took 36 + 40 + 44
+        # products and 3 residual checks; a correction starts from a
+        # residual that is already small
+        assert res.mv_count < 123
 
     def test_unreachable_sign_names_the_entry(self):
-        # a birth-death chain drifting 100:1 towards state 0: the far
-        # entries lie below rounding, so no tolerance makes them positive
-        n = 12
+        # a birth-death chain drifting 100:1 towards state 0: about 20 of its
+        # entries lie below rounding, so no tolerance makes them all positive
+        n = 30
         i = np.arange(n - 1)
         g = Digraph(n, np.concatenate([i, i + 1]), np.concatenate([i + 1, i]),
                     np.concatenate([np.full(n - 1, 1e-2), np.ones(n - 1)]))
@@ -273,6 +278,50 @@ class TestShiftedGmres:
         pi = read_vector(out)
         assert pi.min() > 0
         assert stationary_residual(build_transition(g)[0], pi) <= 1e-12
+
+
+class TestStagnationFallback:
+    """Two-cluster chains on which restarted GMRES(30) stagnates at tol 1e-11:
+    seeds 13 and 6 sit flat at 5.8e-7 and 1.5e-8, and subspace iteration
+    finishes them. Seed 10 is slow but keeps cutting its residual by 0.2-0.7%
+    per cycle, which the stop leaves alone. Cycles are capped at 300, so a
+    solve that neither stops nor converges ends in about a second."""
+
+    @pytest.mark.parametrize("seed", [13, 6])
+    def test_stalled_chain_falls_back_to_subspace(self, seed, monkeypatch):
+        # the count covers both solvers' products
+        seen = 0
+        real = dpinv.stationary.matvec_transpose
+
+        def counting(m, x, counter=None):
+            nonlocal seen
+            seen += 1 if np.ndim(x) == 1 else np.shape(x)[1]
+            return real(m, x, counter)
+
+        monkeypatch.setattr(dpinv.stationary, "matvec_transpose", counting)
+        p = build_transition(weak_bridge_graph(seed))[0]
+        res = stationary_distribution(p, SubspaceConfig(tol=1e-11, max_iterations=300))
+        assert seen == res.mv_count
+        assert res.path == "gmres+subspace" and res.width == 30
+        assert res.pi.min() > 0
+        assert stationary_residual(p, res.pi) <= 1e-11
+        assert res.iterations < 300
+
+    def test_slow_progress_is_not_a_stall(self):
+        p = build_transition(weak_bridge_graph(10))[0]
+        with pytest.raises(NumericalError, match="no convergence in 300 restart cycles"):
+            stationary_distribution(p, SubspaceConfig(tol=1e-11, max_iterations=300))
+
+    def test_cli_reports_the_path(self, tmp_path, capsys):
+        g = weak_bridge_graph(13)
+        graph, out = tmp_path / "g.tsv", tmp_path / "pi.txt"
+        write_edge_list(g, graph)
+        assert main(["stationary", str(graph), "--tol", "1e-11", "--max-iter", "300",
+                     "--report", "--out", str(out)]) == 0
+        assert "path=gmres+subspace" in capsys.readouterr().err
+        pi = read_vector(out)
+        assert pi.min() > 0
+        assert stationary_residual(build_transition(g)[0], pi) <= 1e-11
 
 
 class TestRitzVector:
